@@ -165,12 +165,15 @@ class AffinityRouter:
     *snapshot_loader*, when provided, is probed on every interning miss: a
     hit creates the fresh entry pre-warmed from the persisted snapshot (its
     ``base_log`` watermark marks the folded mutations as the entry's blessed
-    base state, so structural twins still join it)."""
+    base state, so structural twins still join it).  *on_evict*, when
+    provided, is called with the key of every evicted entry, so the owner of
+    per-key resources (the service's supervisor lanes) can release them."""
 
     def __init__(
         self,
         capacity: int = 64,
         snapshot_loader: Optional[SnapshotLoader] = None,
+        on_evict: Optional[Callable[[int], None]] = None,
     ) -> None:
         if capacity < 1:
             raise SpecificationError("the router needs capacity >= 1")
@@ -178,6 +181,7 @@ class AffinityRouter:
         self._entries: List[SessionEntry] = []
         self._next_key = 0
         self._snapshot_loader = snapshot_loader
+        self._on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -207,20 +211,24 @@ class AffinityRouter:
         entry = SessionEntry(self._next_key, specification, snapshot, log_base)
         self._next_key += 1
         if len(self._entries) >= self.capacity:
-            self._evict_one()
+            evicted = self._evict_one()
+            if evicted is not None and self._on_evict is not None:
+                self._on_evict(evicted)
         self._entries.append(entry)
         return entry
 
-    def _evict_one(self) -> None:
+    def _evict_one(self) -> Optional[int]:
         """Drop the oldest entry with no in-flight mutation (a re-appearing
-        spec then simply gets a fresh key and a cold session)."""
+        spec then simply gets a fresh key and a cold session); returns the
+        evicted key, or None when nothing could be evicted."""
         for index, entry in enumerate(self._entries):
             if entry.pending_mutations == 0:
                 del self._entries[index]
                 self.evictions += 1
-                return
+                return entry.key
         # every entry has a mutation in flight: grow past capacity rather
         # than orphan an uncommitted write
+        return None
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -256,8 +256,23 @@ class ReasoningService:
         snapshot_dir: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> None:
+        if compact_log_threshold is not None and compact_log_threshold < 1:
+            raise ValueError("compact_log_threshold must be >= 1 (or None)")
         #: resolved solver backend every worker-side session runs on
         self.backend = resolve_backend(backend)
+        self._snapshot_store = (
+            SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
+        )
+        self._router = AffinityRouter(
+            capacity=session_capacity,
+            snapshot_loader=self._load_persisted if self._snapshot_store else None,
+            on_evict=self._release_lane,
+        )
+        self._default_deadline = default_deadline
+        self._worker_session_capacity = worker_session_capacity
+        self._compact_log_threshold = compact_log_threshold
+        # spawned last: a constructor that raised after it would strand the
+        # workers with no handle left to close them
         self._supervisor = WorkerSupervisor(
             _serve_handler,
             processes,
@@ -267,18 +282,6 @@ class ReasoningService:
             hang_grace_s=hang_grace_s,
             fault_plan=fault_plan,
         )
-        self._snapshot_store = (
-            SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
-        )
-        self._router = AffinityRouter(
-            capacity=session_capacity,
-            snapshot_loader=self._load_persisted if self._snapshot_store else None,
-        )
-        self._default_deadline = default_deadline
-        self._worker_session_capacity = worker_session_capacity
-        if compact_log_threshold is not None and compact_log_threshold < 1:
-            raise ValueError("compact_log_threshold must be >= 1 (or None)")
-        self._compact_log_threshold = compact_log_threshold
         self.compactions = 0
 
     # ------------------------------------------------------------------ #
@@ -286,6 +289,11 @@ class ReasoningService:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         self._supervisor.close()
+
+    def _release_lane(self, key: int) -> None:
+        """Router eviction hook: an evicted session's key is never reused,
+        so its supervisor lane goes too."""
+        self._supervisor.drop_lane(key)
 
     async def __aenter__(self) -> "ReasoningService":
         return self

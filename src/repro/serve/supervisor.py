@@ -8,9 +8,10 @@ executed by the same worker in submission order.  It exists because
 mid-task (segfault, OOM kill, ``os._exit``) strands the task forever and the
 whole batch with it.  The supervisor instead:
 
-* detects death via ``Process.is_alive`` (no timeout needed — a crashed
-  worker is observably dead immediately) and **respawns** the worker with a
-  fresh inbox and a bumped *generation*, failing only the in-flight item;
+* detects death **as an event**: a worker's result channel reads EOF and its
+  ``Process.sentinel`` turns readable the moment it exits, and it
+  **respawns** the worker with fresh channels and a bumped *generation*,
+  failing only the in-flight item;
 * stale results from a previous incarnation are discarded by generation;
 * kills and respawns a worker whose in-flight item overran its deadline by
   more than ``hang_grace_s`` (the watchdog path — a hung worker is not dead,
@@ -24,23 +25,39 @@ whole batch with it.  The supervisor instead:
   injected transient errors) with exponential backoff, requeueing **at the
   lane front** so per-lane FIFO order is preserved across retries.
 
-Process-boundary hygiene: workers are started with the ``spawn`` context
-(forking from a threaded parent can deadlock on inherited lock state);
-payloads are pickled on the submitting thread (an unpicklable *request* fails
-synchronously at submit, not asynchronously in a queue feeder thread); and
-results are pickled *by the worker* with the failure captured as a
-:class:`~repro.exceptions.ErrorRecord` — an unpicklable result value becomes
-a structured per-request failure instead of a silently lost message in
-``multiprocessing.Queue``'s feeder thread.
+The pump is a reactor, not a poller.  One thread blocks in
+:func:`multiprocessing.connection.wait` on every live incarnation's result
+channel, every busy worker's sentinel and a wake pipe that :meth:`submit`
+and :meth:`close` write to.  Its timeout is the earliest pending timer — a
+queued item's deadline, a busy item's deadline plus ``hang_grace_s``, or a
+retry's backoff gate — and with no timer pending it waits without one.  A
+result therefore reaches its future as soon as its bytes arrive, and an idle
+supervisor costs no CPU.  A dead, idle worker whose respawn is deferred is
+left out of the wait set: its channel and sentinel stay readable forever and
+would turn the reactor into a busy loop.
 
-Every incarnation gets a **fresh inbox and a fresh outbox**.  Sharing one
-result queue across incarnations looks natural but is quietly broken: a
-``multiprocessing.Queue`` pickled into a *second* spawn process after a
-previous holder hard-crashed delivers its puts into the void (the size
-counter advances, no bytes ever reach the supervisor's pipe), deadlocking
-every post-respawn result.  Per-incarnation queues are the supported
-one-queue-one-process pattern, and they also make crash isolation exact: a
-killed worker takes only its own channel down.
+Every incarnation gets **fresh one-way pipes** (``Pipe(duplex=False)``): an
+inbox the supervisor writes and an outbox it reads.  The parent keeps only
+those two ends and closes the child's ends once the process has started, so
+the pipes carry exactly one writer and one reader each.  That makes crash
+isolation exact — a killed worker takes only its own channels down, and a
+short read or a broken pipe on them is that incarnation's death, never the
+pump's — and it makes **orphan exit** automatic: when the supervisor's
+process dies, however abruptly, the worker's inbox reads EOF and the worker
+returns.  Reaped incarnations have both channels closed and their
+``Process`` released, so respawns leak no descriptors.
+
+Payloads are pickled on the submitting thread (an unpicklable *request* fails
+synchronously at submit), and results are pickled *by the worker* with the
+failure captured as a :class:`~repro.exceptions.ErrorRecord` — an
+unpicklable result value becomes a structured per-request failure instead of
+a lost message.  Workers are started with the ``spawn`` context (forking
+from a threaded parent can deadlock on inherited lock state).
+
+A lane lives as long as its key is in use.  :meth:`drop_lane` retires it: an
+empty, idle lane goes at once, a lane with work goes when its last item
+finishes, so long-running services do not accumulate lanes for sessions
+their router has evicted.
 
 Every handed-back outcome is a :class:`WorkResult`; the supervisor never
 raises through a future, so callers branch on ``result.ok`` uniformly.
@@ -59,13 +76,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import (
     DeadlineExceeded,
@@ -84,6 +101,9 @@ __all__ = ["WorkerSupervisor", "WorkResult"]
 #: Must be a module-level function (the spawn context pickles it by name).
 Handler = Callable[[Any, Dict[str, Any]], Any]
 
+#: one pump pass's handed-back outcomes, resolved outside the lock
+Finished = List[Tuple["_WorkItem", "WorkResult"]]
+
 
 @dataclass
 class WorkResult:
@@ -101,27 +121,28 @@ class WorkResult:
 def _worker_main(
     worker_id: int,
     generation: int,
-    inbox: "multiprocessing.queues.Queue[Any]",
-    outbox: "multiprocessing.queues.Queue[Any]",
+    inbox: Connection,
+    outbox: Connection,
     handler: Handler,
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    """One worker incarnation: pull, execute, pre-pickle, push.
+    """One worker incarnation: receive, execute, pre-pickle, send.
 
     The result body is pickled *here* so that an unpicklable value (a poisoned
     result) is caught and converted into a structured failure rather than
-    killing the queue's feeder thread and silently losing the message.  The
-    envelope itself — ``(worker_id, generation, request_id, bytes)`` — is
-    always picklable.
+    losing the message.  The envelope itself — ``(worker_id, generation,
+    request_id, bytes)`` — is always picklable.  EOF on the inbox, or a broken
+    outbox, means the supervisor is gone (closed, or its process died): the
+    worker returns instead of outliving it.
     """
     if fault_plan is not None:
         faults.install(fault_plan.for_generation(generation))
     state: Dict[str, Any] = {}
     while True:
-        message = inbox.get()
-        if message is None:
+        try:
+            request_id, payload = inbox.recv()
+        except (EOFError, OSError):
             return
-        request_id, payload = message
         try:
             faults.trip("worker.request")
             work = pickle.loads(payload)
@@ -133,7 +154,10 @@ def _worker_main(
             body = pickle.dumps((True, value))
         except BaseException as error:  # noqa: BLE001 - converted to a record
             body = pickle.dumps((False, ErrorRecord.from_exception(error)))
-        outbox.put((worker_id, generation, request_id, body))
+        try:
+            outbox.send((worker_id, generation, request_id, body))
+        except OSError:
+            return
 
 
 class _WorkItem:
@@ -159,15 +183,18 @@ class _WorkItem:
 
 
 class _Worker:
-    __slots__ = ("index", "generation", "process", "inbox", "outbox", "busy")
+    """One worker incarnation: its process, the parent's ends of its two
+    pipes (inbox write end, outbox read end) and its in-flight item."""
+
+    __slots__ = ("index", "generation", "process", "inbox", "outbox", "busy", "dead")
 
     def __init__(
         self,
         index: int,
         generation: int,
         process: "multiprocessing.process.BaseProcess",
-        inbox: "multiprocessing.queues.Queue[Any]",
-        outbox: "multiprocessing.queues.Queue[Any]",
+        inbox: Connection,
+        outbox: Connection,
     ) -> None:
         self.index = index
         self.generation = generation
@@ -175,6 +202,8 @@ class _Worker:
         self.inbox = inbox
         self.outbox = outbox
         self.busy: Optional[_WorkItem] = None
+        #: reaped: process joined and released, both channels closed
+        self.dead = False
 
 
 class WorkerSupervisor:
@@ -213,7 +242,6 @@ class WorkerSupervisor:
         backoff_s: float = 0.05,
         hang_grace_s: float = 2.0,
         fault_plan: Optional[FaultPlan] = None,
-        poll_interval_s: float = 0.005,
     ) -> None:
         if processes is not None and processes < 1:
             raise SpecificationError("the supervisor needs at least one worker")
@@ -227,7 +255,6 @@ class WorkerSupervisor:
         self._backoff_s = backoff_s
         self._hang_grace_s = hang_grace_s
         self._fault_plan = fault_plan
-        self._poll_interval_s = poll_interval_s
         count = processes if processes is not None else max(2, min(4, os.cpu_count() or 2))
         # spawn, not fork: the supervisor runs a pump thread, and forking a
         # threaded parent can inherit held lock state and deadlock the child
@@ -238,9 +265,15 @@ class WorkerSupervisor:
         self._lane_order: Dict[int, Deque[Hashable]] = {
             index: deque() for index in range(count)
         }
+        #: dropped lanes that still hold or run work (pruned once drained)
+        self._retiring: Set[Hashable] = set()
         self._next_id = 0
         self._closed = False
         self.respawns = 0
+        # the wake pipe: submit and close write a byte so the blocked pump
+        # re-reads its wait set and timers
+        self._wake_fd, self._wake_write_fd = os.pipe()
+        os.set_blocking(self._wake_write_fd, False)
         self._workers: List[_Worker] = [self._spawn(index, 0) for index in range(count)]
         self._pump_thread = threading.Thread(
             target=self._pump, name="repro-supervisor", daemon=True
@@ -251,19 +284,53 @@ class WorkerSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _spawn(self, index: int, generation: int) -> _Worker:
-        # fresh queues per incarnation — see the module docstring: a Queue
-        # re-pickled into a second spawn process after a crash silently
-        # swallows every put, so channels are never shared across respawns
-        inbox: "multiprocessing.queues.Queue[Any]" = self._ctx.Queue()
-        outbox: "multiprocessing.queues.Queue[Any]" = self._ctx.Queue()
+        # fresh pipes per incarnation — a killed worker takes only its own
+        # channels down, so nothing a crash corrupts is ever reused
+        inbox_end, inbox = self._ctx.Pipe(duplex=False)
+        outbox, outbox_end = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, generation, inbox, outbox,
+            args=(index, generation, inbox_end, outbox_end,
                   self._handler, self._fault_plan),
             daemon=True,
         )
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            inbox.close()
+            outbox.close()
+            raise
+        finally:
+            # the child holds its own copies now; the parent keeping these
+            # would hide the worker's death (no EOF on the outbox) and its
+            # own (no EOF on the worker's inbox)
+            inbox_end.close()
+            outbox_end.close()
         return _Worker(index, generation, process, inbox, outbox)
+
+    @staticmethod
+    def _retire(worker: _Worker) -> None:
+        """Reap *worker*'s incarnation for good: kill it if it still runs,
+        join and release its process, and close both of its channels.
+        Idempotent."""
+        if worker.dead:
+            return
+        worker.dead = True
+        worker.inbox.close()
+        worker.outbox.close()
+        process = worker.process
+        process.kill()
+        process.join(timeout=5.0)
+        if process.exitcode is not None:
+            process.close()
+
+    def _wake(self) -> None:
+        """Interrupt the pump's wait (called with the lock held, so never
+        after :meth:`close` has closed the pipe)."""
+        try:
+            os.write(self._wake_write_fd, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full of unread wakes: the pump is waking anyway
 
     @property
     def alive(self) -> bool:
@@ -285,11 +352,13 @@ class WorkerSupervisor:
                 if worker.busy is not None:
                     orphans.append(worker.busy)
                     worker.busy = None
+            self._wake()
         self._pump_thread.join(timeout=5.0)
-        for worker in self._workers:
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join(timeout=5.0)
+        with self._lock:
+            for worker in self._workers:
+                self._retire(worker)
+            os.close(self._wake_fd)
+            os.close(self._wake_write_fd)
         record = ErrorRecord.from_exception(ServiceError("supervisor closed"))
         for item in orphans:
             self._finish(item, WorkResult(failure=record, attempts=item.attempts))
@@ -344,7 +413,31 @@ class WorkerSupervisor:
             self._next_id += 1
             lane_queue.append(item)
             self._dispatch_locked()
+            # the pump re-arms its timers (this item's deadline) and respawns
+            # a dead owner that now has work
+            self._wake()
         return item.future
+
+    def drop_lane(self, lane: Hashable) -> None:
+        """Forget *lane* once it is drained: at once when it is empty and
+        idle, otherwise when its last item finishes.  A later submit on the
+        same key opens a fresh lane."""
+        with self._lock:
+            if lane in self._lanes:
+                self._retiring.add(lane)
+                self._prune_locked(lane)
+
+    def _prune_locked(self, lane: Hashable) -> None:
+        if lane not in self._retiring or self._lanes[lane]:
+            return
+        owner = self._lane_owner[lane]
+        busy = self._workers[owner].busy
+        if busy is not None and busy.lane == lane:
+            return
+        self._retiring.discard(lane)
+        del self._lanes[lane]
+        del self._lane_owner[lane]
+        self._lane_order[owner].remove(lane)
 
     def _least_loaded_worker(self) -> int:
         def load(index: int) -> Tuple[int, int]:
@@ -357,59 +450,101 @@ class WorkerSupervisor:
         return min(range(len(self._workers)), key=load)
 
     # ------------------------------------------------------------------ #
-    # The pump: results, death, hangs, expiry, dispatch
+    # The pump: a reactor over results, deaths, timers and wakes
     # ------------------------------------------------------------------ #
     def _pump(self) -> None:
-        while not self._closed:
-            drained = self._drain_outboxes()
-            finished = self._reap()
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                owners = self._wait_set_locked()
+                timeout = self._next_timer_locked()
+            try:
+                ready = wait(list(owners), timeout)
+            except (OSError, ValueError):
+                if self._closed:  # close() outlived its join grace
+                    return
+                raise
+            finished: Finished = []
+            with self._lock:
+                if self._closed:
+                    return
+                for channel in ready:
+                    worker = owners[channel]
+                    if worker is None:
+                        os.read(self._wake_fd, 4096)
+                        continue
+                    if not worker.dead:
+                        self._collect_locked(worker, finished)
+                    if isinstance(channel, int):  # the sentinel: it exited
+                        self._retire(worker)
+                self._reap_locked(finished)
+                for item, _result in finished:
+                    self._prune_locked(item.lane)
             for item, result in finished:
                 self._finish(item, result)
-            if not drained:
-                time.sleep(self._poll_interval_s)
 
-    def _drain_outboxes(self) -> bool:
-        """Collect every already-available result envelope from every live
-        incarnation's outbox; True when at least one arrived."""
-        with self._lock:
-            workers = list(self._workers)
-        finished: List[Tuple[_WorkItem, WorkResult]] = []
-        drained = False
-        for outbox_owner in workers:
-            while True:
-                try:
-                    envelope = outbox_owner.outbox.get_nowait()
-                except queue.Empty:
-                    break
-                drained = True
-                worker_id, generation, request_id, body = envelope
-                with self._lock:
-                    worker = self._workers[worker_id]
-                    item = worker.busy
-                    if (
-                        worker.generation == generation
-                        and item is not None
-                        and item.id == request_id
-                    ):
-                        worker.busy = None
-                        ok, value = pickle.loads(body)
-                        if ok:
-                            finished.append(
-                                (item, WorkResult(value=value, attempts=item.attempts))
-                            )
-                        else:
-                            retried = self._retry_locked(item, value)
-                            if not retried:
-                                finished.append(
-                                    (item,
-                                     WorkResult(failure=value, attempts=item.attempts))
-                                )
-                    # a mismatched generation or id is a stale message from a
-                    # superseded incarnation (we drained its old outbox after
-                    # a respawn): drop it
-        for item, result in finished:
-            self._finish(item, result)
-        return drained
+    def _wait_set_locked(self) -> Dict[Any, Optional[_Worker]]:
+        """What the pump waits on, mapped to its worker (None: the wake
+        pipe).  A reaped incarnation is left out: its closed channels cannot
+        be waited on, and a dead process's sentinel is readable forever."""
+        owners: Dict[Any, Optional[_Worker]] = {self._wake_fd: None}
+        for worker in self._workers:
+            if worker.dead:
+                continue
+            owners[worker.outbox] = worker
+            if worker.busy is not None:
+                owners[worker.process.sentinel] = worker
+        return owners
+
+    def _next_timer_locked(self) -> Optional[float]:
+        """Seconds until the earliest pending timer, or None for none: a
+        queued item's deadline or retry gate, a busy item's hang watchdog."""
+        now = time.monotonic()
+        timers: List[float] = []
+        for lane_queue in self._lanes.values():
+            for item in lane_queue:
+                if item.deadline is not None:
+                    timers.append(item.deadline)
+                if item.not_before > now:
+                    timers.append(item.not_before)
+        for worker in self._workers:
+            item = worker.busy
+            if item is not None and item.deadline is not None:
+                timers.append(item.deadline + self._hang_grace_s)
+        if not timers:
+            return None
+        return max(0.0, min(timers) - now)
+
+    def _collect_locked(self, worker: _Worker, finished: Finished) -> None:
+        """Accept every result already readable on *worker*'s outbox.  EOF
+        or a short read (a worker killed mid-send) is the incarnation's
+        death: it is reaped here and its in-flight item handled by
+        :meth:`_reap_locked`."""
+        try:
+            while worker.outbox.poll():
+                self._accept_locked(worker.outbox.recv(), finished)
+        except (EOFError, OSError):
+            self._retire(worker)
+
+    def _accept_locked(
+        self, envelope: Tuple[int, int, int, bytes], finished: Finished
+    ) -> None:
+        worker_id, generation, request_id, body = envelope
+        worker = self._workers[worker_id]
+        item = worker.busy
+        if worker.generation != generation or item is None or item.id != request_id:
+            # a stale message from a superseded incarnation: drop it
+            return
+        worker.busy = None
+        try:
+            ok, value = pickle.loads(body)
+        except Exception as error:  # a result this process cannot rebuild
+            ok, value = False, ErrorRecord.from_exception(error)
+        if ok:
+            finished.append((item, WorkResult(value=value, attempts=item.attempts)))
+        elif not self._retry_locked(item, value):
+            finished.append((item, WorkResult(failure=value, attempts=item.attempts)))
 
     def _retry_locked(self, item: _WorkItem, record: ErrorRecord) -> bool:
         """Requeue a retryably-failed item at its lane's front (backoff-gated)
@@ -424,72 +559,64 @@ class WorkerSupervisor:
         self._lanes[item.lane].appendleft(item)
         return True
 
-    def _reap(self) -> List[Tuple[_WorkItem, WorkResult]]:
-        """Handle dead and hung workers and expired queued items."""
-        finished: List[Tuple[_WorkItem, WorkResult]] = []
+    def _reap_locked(self, finished: Finished) -> None:
+        """Handle dead and hung workers and expired queued items, then
+        dispatch."""
         now = time.monotonic()
-        with self._lock:
-            if self._closed:
-                return []
-            for slot, worker in enumerate(self._workers):
-                item = worker.busy
-                if not worker.process.is_alive():
-                    if item is None and not self._backlog_locked(worker.index):
-                        # dead but idle with nothing queued: defer the respawn
-                        # until work arrives, so a worker dying on startup
-                        # cannot drive a hot respawn loop
-                        continue
-                    worker.busy = None
-                    self._respawn_locked(slot)
-                    if item is not None:
-                        record = ErrorRecord.from_exception(
-                            WorkerCrashed(
-                                # reprolint: allow(R3) — human-readable crash message, not a lookup key
-                                f"worker {slot} (generation {worker.generation}) "
-                                f"died executing request {item.id}"
-                            )
+        for slot, worker in enumerate(self._workers):
+            item = worker.busy
+            if worker.dead:
+                if item is None and not self._backlog_locked(worker.index):
+                    # dead but idle with nothing queued: defer the respawn
+                    # until work arrives, so a worker dying on startup
+                    # cannot drive a hot respawn loop
+                    continue
+                worker.busy = None
+                self._respawn_locked(slot)
+                if item is not None:
+                    record = ErrorRecord.from_exception(
+                        WorkerCrashed(
+                            # reprolint: allow(R3) — human-readable crash message, not a lookup key
+                            f"worker {slot} (generation {worker.generation}) "
+                            f"died executing request {item.id}"
                         )
-                        if not self._retry_locked(item, record):
-                            finished.append(
-                                (item, WorkResult(failure=record, attempts=item.attempts))
-                            )
-                elif (
-                    item is not None
-                    and item.deadline is not None
-                    and now > item.deadline + self._hang_grace_s
-                ):
-                    # hung past the grace window: the worker must die so the
-                    # lane (and its sibling lanes) can make progress again
-                    worker.busy = None
-                    worker.process.kill()
-                    worker.process.join(timeout=5.0)
-                    self._respawn_locked(slot)
+                    )
+                    if not self._retry_locked(item, record):
+                        finished.append(
+                            (item, WorkResult(failure=record, attempts=item.attempts))
+                        )
+            elif (
+                item is not None
+                and item.deadline is not None
+                and now > item.deadline + self._hang_grace_s
+            ):
+                # hung past the grace window: the worker must die so the
+                # lane (and its sibling lanes) can make progress again
+                worker.busy = None
+                self._respawn_locked(slot)
+                record = ErrorRecord.from_exception(
+                    DeadlineExceeded(
+                        # reprolint: allow(R3) — human-readable timeout message, not a lookup key
+                        f"request {item.id} overran its deadline by more than "
+                        f"{self._hang_grace_s:.1f}s; its worker was killed"
+                    )
+                )
+                finished.append((item, WorkResult(failure=record, attempts=item.attempts)))
+        for lane_queue in self._lanes.values():
+            for item in list(lane_queue):
+                if item.deadline is not None and now >= item.deadline:
+                    lane_queue.remove(item)
                     record = ErrorRecord.from_exception(
                         DeadlineExceeded(
-                            # reprolint: allow(R3) — human-readable timeout message, not a lookup key
-                            f"request {item.id} overran its deadline by more than "
-                            f"{self._hang_grace_s:.1f}s; its worker was killed"
+                            # reprolint: allow(R3) — human-readable expiry message, not a lookup key
+                            f"request {item.id} expired after waiting "
+                            f"{self._queue_wait(item, now):.3f}s in its lane"
                         )
                     )
                     finished.append(
                         (item, WorkResult(failure=record, attempts=item.attempts))
                     )
-            for lane_queue in self._lanes.values():
-                for item in list(lane_queue):
-                    if item.deadline is not None and now >= item.deadline:
-                        lane_queue.remove(item)
-                        record = ErrorRecord.from_exception(
-                            DeadlineExceeded(
-                                # reprolint: allow(R3) — human-readable expiry message, not a lookup key
-                                f"request {item.id} expired after waiting "
-                                f"{self._queue_wait(item, now):.3f}s in its lane"
-                            )
-                        )
-                        finished.append(
-                            (item, WorkResult(failure=record, attempts=item.attempts))
-                        )
-            self._dispatch_locked()
-        return finished
+        self._dispatch_locked()
 
     @staticmethod
     def _queue_wait(item: _WorkItem, now: float) -> float:
@@ -499,6 +626,7 @@ class WorkerSupervisor:
 
     def _respawn_locked(self, slot: int) -> None:
         old = self._workers[slot]
+        self._retire(old)
         self._workers[slot] = self._spawn(old.index, old.generation + 1)
         self.respawns += 1
 
@@ -508,8 +636,8 @@ class WorkerSupervisor:
     def _dispatch_locked(self) -> None:
         now = time.monotonic()
         for worker in self._workers:
-            if worker.busy is not None or not worker.process.is_alive():
-                # a dead idle worker is respawned by _reap once it has work
+            if worker.busy is not None or worker.dead:
+                # a dead idle worker is respawned by the pump once it has work
                 continue
             order = self._lane_order[worker.index]
             for _ in range(len(order)):
@@ -521,7 +649,13 @@ class WorkerSupervisor:
                 item = lane_queue.popleft()
                 item.attempts += 1
                 worker.busy = item
-                worker.inbox.put((item.id, item.payload))
+                try:
+                    worker.inbox.send((item.id, item.payload))
+                except OSError:
+                    # the worker died since the pump last looked: reap it
+                    # now, and let the pump fail or retry the item as a crash
+                    self._retire(worker)
+                    self._wake()
                 break
 
     @staticmethod

@@ -7,8 +7,10 @@ package cannot perform PEP 660 editable installs).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -23,6 +25,20 @@ from repro.core import (
     TemporalInstance,
 )
 from repro.workloads import company
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_run():
+    """Fail the run when a test leaves a worker process behind — a service,
+    supervisor or batch driver that was never closed.  Children get a 5 s
+    grace to finish exiting first."""
+    yield
+    grace_ends = time.monotonic() + 5.0
+    for child in multiprocessing.active_children():
+        child.join(max(0.0, grace_ends - time.monotonic()))
+    leaked = multiprocessing.active_children()
+    if leaked:
+        pytest.fail(f"child processes outlived the test run: {leaked}")
 
 
 @pytest.fixture()
