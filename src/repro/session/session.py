@@ -302,6 +302,10 @@ class ReasoningSession:
     match_entities_by_eid:
         Entity-matching mode of the candidate-import enumeration, forwarded
         to the extension search space (preservation problems only).
+    invalidation:
+        Must be ``"delta"``, the footprint-scoped eviction policy described
+        under :attr:`CACHE_DEPENDENCIES` and the only one there is; the
+        argument is still accepted because existing callers pass it.
 
     All substrate is built lazily, so constructing a session costs nothing;
     the wrapper functions in :mod:`repro.reasoning` / :mod:`repro.preservation`
@@ -332,10 +336,9 @@ class ReasoningSession:
     #:     the mutation's :class:`~repro.session.footprint.MutationFootprint`
     #:     are dropped; disjoint entries (and, for the enumerator table,
     #:     enumerators over disjoint relation sets) survive, guarded by one
-    #:     warm consistency probe before retained state is served.  Sessions
-    #:     constructed with ``invalidation="coarse"`` degrade every
-    #:     ``delta`` to the pre-footprint behaviour (``clear``/``rebuild``)
-    #:     — the differential baseline for the streaming benchmarks.
+    #:     warm consistency probe before retained state is served.  A
+    #:     globally-invalidating footprint (``add_copy_function``) clears
+    #:     the answer memo wholesale.
     CACHE_DEPENDENCIES: Mapping[str, Mapping[str, str]] = {
         "chase": {
             "add_order": "extend",
@@ -393,12 +396,6 @@ class ReasoningSession:
         },
     }
 
-    #: Invalidation modes: ``"delta"`` (footprint-scoped, the default) and
-    #: ``"coarse"`` (every ``delta`` policy degraded to the pre-footprint
-    #: ``clear``/``rebuild``, every chase/space ``extend``-on-mutation
-    #: degraded to a rebuild — the streaming benchmarks' baseline).
-    INVALIDATION_MODES = ("delta", "coarse")
-
     def __init__(
         self,
         specification: Specification,
@@ -411,12 +408,11 @@ class ReasoningSession:
         #: resolved solver backend name every lazily-built solver layer uses
         #: (see :mod:`repro.solvers.backend`)
         self.backend = resolve_backend(backend)
-        if invalidation not in self.INVALIDATION_MODES:
+        if invalidation != "delta":
             raise SpecificationError(
-                f"unknown invalidation mode {invalidation!r}; expected one of "
-                f"{self.INVALIDATION_MODES}"
+                f"unknown invalidation mode {invalidation!r}; the footprint-scoped "
+                f"'delta' policy is the only one"
             )
-        self.invalidation = invalidation
         self._chase: Optional[ChaseResult] = None
         self._encoder: Optional[CompletionEncoder] = None
         self._space: Optional[ExtensionSearchSpace] = None
@@ -1303,14 +1299,14 @@ class ReasoningSession:
         ``"delta"`` answer policy: an entry survives iff its query's
         relations are disjoint from the footprint's (component-expanded)
         relations — see :mod:`repro.session.footprint` for why that is sound
-        — and any retained state arms the consistency recheck.  Coarse
-        sessions and globally-invalidating mutations clear wholesale.
+        — and any retained state arms the consistency recheck.
+        Globally-invalidating mutations clear wholesale.
         Verdict memos (CPS & friends) are specification-global and always
         cleared; they cost one warm probe to recompute."""
         stats = self._mutation_stats
         stats["footprint_relations"] += len(footprint.relations)
         stats["footprint_blocks"] += len(footprint.blocks)
-        if self.invalidation != "delta" or footprint.global_invalidation:
+        if footprint.global_invalidation:
             stats["memo_evicted"] += len(self._answer_memo)
             self._answer_memo.clear()
             self._memo_relations.clear()
@@ -1337,11 +1333,11 @@ class ReasoningSession:
         An enumerator survives when it still shares the session's live
         encoder and the mutation's policy keeps attached enumerators
         (*keep_attached*: order/denial/copy-function mutations, whose clauses
-        reached it through that shared encoder), or — the ``"delta"`` arm —
-        when its relation set is disjoint from the footprint (a *detached*
-        enumerator holds the pre-mutation encoder, which still enumerates the
-        correct databases for untouched components; the consistency recheck
-        guards the one global hazard)."""
+        reached it through that shared encoder), or when its relation set is
+        disjoint from the footprint (a *detached* enumerator holds the
+        pre-mutation encoder, which still enumerates the correct databases
+        for untouched components; the consistency recheck guards the one
+        global hazard)."""
         for key in list(self._enumerators):
             enumerator = self._enumerators[key]
             # the shared-warm-solver check is about object identity (is this
@@ -1350,10 +1346,7 @@ class ReasoningSession:
             if attached and keep_attached:
                 self._mutation_stats["enumerators_retained"] += 1
                 continue
-            if (
-                self.invalidation == "delta"
-                and not footprint.intersects_relations(key)
-            ):
+            if not footprint.intersects_relations(key):
                 self._mutation_stats["enumerators_retained"] += 1
                 continue
             del self._enumerators[key]
@@ -1379,11 +1372,11 @@ class ReasoningSession:
         )
 
     def _invalidate_chase(self, extended: Optional[ChaseResult]) -> None:
-        """Install the incrementally-extended chase (delta mode) or drop the
-        cached one (coarse mode / no extension available)."""
+        """Install the incrementally-extended chase, or drop the cached one
+        when no extension is available."""
         if self._chase is None:
             return
-        if self.invalidation == "delta" and extended is not None:
+        if extended is not None:
             self._chase = extended
             self._mutation_stats["chase_extended"] += 1
         else:
@@ -1398,16 +1391,16 @@ class ReasoningSession:
         drop it for a lazy rebuild otherwise."""
         if self._space is None:
             return
-        if self.invalidation == "delta" and self._space.extend_with_tuples(
-            instance_name, tids
-        ):
+        if self._space.extend_with_tuples(instance_name, tids):
             self._mutation_stats["space_extended"] += 1
         else:
             self._space = None
             self._mutation_stats["space_rebuilt"] += 1
 
-    def _drop_or_extend_encoder_for_tuple(self, instance_name: str, tid: Hashable) -> None:
-        """Extend the encoder with the new tuple's additive delta, or fall
+    def _drop_or_extend_encoder_for_tuples(
+        self, instance_name: str, tids: Sequence[Hashable]
+    ) -> None:
+        """Extend the encoder with the new tuples' additive delta, or fall
         back to a full rebuild when it carries enumerator maximality clauses
         (whose reverse direction would be unsound for the grown block)."""
         if self._encoder is None:
@@ -1416,7 +1409,7 @@ class ReasoningSession:
             self._encoder = None
             self._mutation_stats["encoder_rebuilt"] += 1
         else:
-            self._encoder.add_tuple_incremental(instance_name, tid)
+            self._encoder.add_tuples_incremental(instance_name, tids)
             self._mutation_stats["encoder_extended"] += 1
 
     def add_order(
@@ -1436,7 +1429,7 @@ class ReasoningSession:
             extend_chase_with_order(
                 self._chase, self.specification, instance_name, attribute, lower, upper
             )
-            if self._chase is not None and self.invalidation == "delta"
+            if self._chase is not None
             else None
         )
         self._invalidate_chase(extended)
@@ -1492,12 +1485,12 @@ class ReasoningSession:
             extend_chase_with_tuples(
                 self._chase, self.specification, instance_name, (tup.tid,)
             )
-            if self._chase is not None and self.invalidation == "delta"
+            if self._chase is not None
             else None
         )
         self._invalidate_chase(extended)
         self._extend_or_rebuild_space_for_tuples(instance_name, (tup.tid,))
-        self._drop_or_extend_encoder_for_tuple(instance_name, tup.tid)
+        self._drop_or_extend_encoder_for_tuples(instance_name, (tup.tid,))
         footprint = self._footprint_for_instance(
             "add_tuple",
             instance_name,
@@ -1573,18 +1566,12 @@ class ReasoningSession:
         tids = [tup.tid for tup in batch]
         extended = (
             extend_chase_with_tuples(self._chase, self.specification, instance_name, tids)
-            if self._chase is not None and self.invalidation == "delta"
+            if self._chase is not None
             else None
         )
         self._invalidate_chase(extended)
         self._extend_or_rebuild_space_for_tuples(instance_name, tids)
-        if self._encoder is not None:
-            if self._encoder.maximality_encoded:
-                self._encoder = None
-                self._mutation_stats["encoder_rebuilt"] += 1
-            else:
-                self._encoder.add_tuples_incremental(instance_name, tids)
-                self._mutation_stats["encoder_extended"] += 1
+        self._drop_or_extend_encoder_for_tuples(instance_name, tids)
         footprint = self._footprint_for_instance(
             "add_tuples",
             instance_name,
@@ -1607,7 +1594,7 @@ class ReasoningSession:
         self.specification.add_copy_function(copy_function)
         extended = (
             extend_chase_with_copies(self._chase, self.specification)
-            if self._chase is not None and self.invalidation == "delta"
+            if self._chase is not None
             else None
         )
         self._invalidate_chase(extended)
@@ -1680,14 +1667,14 @@ class ReasoningSession:
                 self.specification,
                 new_tuples=[(copy_function.target, new_tid)] if added else (),
             )
-            if self._chase is not None and self.invalidation == "delta"
+            if self._chase is not None
             else None
         )
         self._invalidate_chase(extended)
         if self._space is not None:
             self._space = None
             self._mutation_stats["space_rebuilt"] += 1
-        self._drop_or_extend_encoder_for_tuple(copy_function.target, new_tid)
+        self._drop_or_extend_encoder_for_tuples(copy_function.target, (new_tid,))
         footprint = self._footprint_for_instance(
             "add_copy_import",
             copy_function.target,

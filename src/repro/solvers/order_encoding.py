@@ -67,7 +67,7 @@ class CompletionEncoder:
         #: already added to ``self.cnf``.  Enumerators sharing one encoder
         #: consult this registry so overlapping relation sets are encoded
         #: once; it also marks the encoder as *non-extendable* by
-        #: :meth:`add_tuple_incremental` (the reverse maximality clauses
+        #: :meth:`add_tuples_incremental` (the reverse maximality clauses
         #: "all present others below ⟹ max" become too strong when a block
         #: grows, so a session must rebuild instead).
         self.maximality_encoded: Set[str] = set()
@@ -134,21 +134,19 @@ class CompletionEncoder:
         self,
         name: str,
         constraint: DenialConstraint,
-        only_tid: Optional[Hashable] = None,
         only_tids: Optional[AbstractSet[Hashable]] = None,
     ) -> None:
         """Ground one denial constraint into implications.
 
-        *only_tid* (or the set *only_tids*), when given, restricts to
-        groundings whose support involves those tuple ids — the additive
-        delta after tuples were added.  The set form grounds each qualifying
-        implication once, where tuple-at-a-time deltas would re-emit a
-        grounding touching several new tuples once per tuple.
+        *only_tids*, when given, restricts to groundings whose support
+        involves those tuple ids — the additive delta after tuples were
+        added.  Each qualifying implication is grounded once, where
+        tuple-at-a-time deltas would re-emit a grounding touching several new
+        tuples once per tuple.
         """
-        restriction = {only_tid} if only_tid is not None else only_tids
         instance = self.specification.instance(name)
         for implication, support in constraint.grounded_implications_with_support(instance):
-            if restriction is not None and restriction.isdisjoint(support):
+            if only_tids is not None and only_tids.isdisjoint(support):
                 continue
             premises: List[Tuple[PairVariable, bool]] = []
             vacuous = False
@@ -179,23 +177,20 @@ class CompletionEncoder:
     def _encode_copy_function(
         self,
         copy_function: CopyFunction,
-        only_tid: Optional[Hashable] = None,
         only_tids: Optional[AbstractSet[Hashable]] = None,
     ) -> None:
         """≺-compatibility implications of one copy function.
 
-        *only_tid* (or the set *only_tids*), when given, restricts to
-        implications involving those tuple ids (in the source or target role)
-        — the additive delta after mapped tuples were added or mapping pairs
-        extended.
+        *only_tids*, when given, restricts to implications involving those
+        tuple ids (in the source or target role) — the additive delta after
+        mapped tuples were added or mapping pairs extended.
         """
-        restriction = {only_tid} if only_tid is not None else only_tids
         target = self.specification.instance(copy_function.target)
         source = self.specification.instance(copy_function.source)
         for (src_attr, s1, s2), (tgt_attr, t1, t2) in copy_function.compatibility_implications(
             target, source
         ):
-            if restriction is not None and restriction.isdisjoint((s1, s2, t1, t2)):
+            if only_tids is not None and only_tids.isdisjoint((s1, s2, t1, t2)):
                 continue
             if not self._same_entity(source, s1, s2):
                 continue
@@ -282,27 +277,21 @@ class CompletionEncoder:
         specification (additive ≺-compatibility implications)."""
         self._encode_copy_function(copy_function)
 
-    def add_tuple_incremental(self, instance_name: str, tid: Hashable) -> None:
-        """Extend the encoding after tuple *tid* was added to the named
-        instance.
+    def add_tuples_incremental(
+        self, instance_name: str, tids: Sequence[Hashable]
+    ) -> None:
+        """Extend the encoding after the tuples *tids* were added to the
+        named instance — one delta pass for the whole batch.
 
         Growing an entity block only *adds* well-formedness obligations — pair
         variables, antisymmetry/totality/transitivity for pairs involving the
-        new tuple, the denial groundings and copy implications its presence
+        new tuples, the denial groundings and copy implications their presence
         admits — so the delta is purely additive ``add_clause`` work between
         solves and the warm solver state stays valid.  The one exception is an
         encoder that already carries maximality clauses (``maximality_encoded``
         non-empty): their "all others below ⟹ max" direction does not survive
         a grown block, so such encoders must be rebuilt instead — asserted
         here rather than silently producing a wrong encoding.
-        """
-        self.add_tuples_incremental(instance_name, (tid,))
-
-    def add_tuples_incremental(
-        self, instance_name: str, tids: Sequence[Hashable]
-    ) -> None:
-        """Extend the encoding after a *batch* of tuples was added to the
-        named instance — one delta pass instead of N.
 
         Per-tuple well-formedness deltas replay the tuple-at-a-time order (a
         later tuple's pair variables against an earlier one are minted exactly
@@ -313,7 +302,7 @@ class CompletionEncoder:
         """
         if self.maximality_encoded:
             raise SolverError(
-                "add_tuple(s)_incremental() on an encoder with maximality "
+                "add_tuples_incremental() on an encoder with maximality "
                 "clauses; the enumerator's reverse clauses would be too "
                 "strong for the grown block — rebuild the encoder instead"
             )

@@ -95,7 +95,7 @@ class Fault:
         How many consecutive hits fire once armed (default 1).
     every:
         When > 0, fire on every *every*-th hit instead of the
-        ``after``/``times`` window (sustained chaos for benchmarks).
+        ``after``/``times`` window (sustained chaos).
     seconds:
         Sleep duration for ``"sleep"``.
     message:

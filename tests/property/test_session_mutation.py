@@ -299,9 +299,7 @@ def _run_stream_seed(seed, backend, mutations=32, window=8):
     specification, events, queries = streaming_mutation_workload(
         config=config, mutations=mutations, seed=seed
     )
-    session = ReasoningSession(
-        copy.deepcopy(specification), backend=backend, invalidation="delta"
-    )
+    session = ReasoningSession(copy.deepcopy(specification), backend=backend)
     rebuilt = copy.deepcopy(specification)
     query = queries[seed % len(queries)]
     # warm the substrate before the stream so the mutations exercise the

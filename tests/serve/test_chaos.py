@@ -51,7 +51,7 @@ class TestWorkerCrash:
         first, crashed, after, stats = run(scenario())
         assert first.ok and first.value == oracle.consistent()
         # the crashed read was transparently retried on the respawned worker
-        assert crashed.ok and crashed.value == oracle.ecp(None) if False else True
+        assert crashed.ok and crashed.value == oracle.ecp(None)
         assert crashed.ok, crashed.error
         assert crashed.attempts == 2
         assert after.ok and after.value == oracle.consistent()
@@ -246,15 +246,38 @@ class TestOverload:
             assert answer.failure.retryable
 
 
+#: one of each fault, each firing once: a crash, a transient error, a
+#: poisoned result and an injected budget exhaustion
+ONE_SHOT = FaultPlan.of(
+    Fault("worker.execute", "kill", after=2, times=1, generation=0),
+    Fault("worker.request", "raise", after=4, times=1),
+    Fault("worker.result", "poison", after=6, times=1),
+    Fault("solver.solve", "budget", after=3, times=1),
+)
+
+#: sustained chaos: a stall every 4th execution, a crash every 9th and a
+#: transient error every 7th request, per worker, with fresh counters in
+#: every respawned incarnation
+PERIODIC = FaultPlan.of(
+    Fault("worker.execute", "sleep", seconds=0.01, every=4),
+    Fault("worker.execute", "kill", every=9),
+    Fault("worker.request", "raise", every=7),
+)
+
+
 class TestPropertySweep:
     """Degraded or failed answers are always labeled — never silently wrong.
 
-    A mixed fault plan (a crash, a transient error, a poisoned result, an
-    injected budget exhaustion) runs under a stream of requests across three
-    logical sessions; every answer must either match the fault-free serial
-    oracle exactly or carry an explicit failure/degraded label."""
+    A fault plan runs under a stream of requests across three logical
+    sessions; every answer must either match the fault-free serial oracle
+    exactly or carry an explicit failure/degraded label.  The periodic plan
+    replays the stream three times, so that some worker reaches its ninth
+    execution and crashes."""
 
-    def test_every_answer_is_correct_or_labeled(self):
+    @pytest.mark.parametrize(
+        "plan, rounds", [(ONE_SHOT, 1), (PERIODIC, 3)], ids=["one-shot", "periodic"]
+    )
+    def test_every_answer_is_correct_or_labeled(self, plan, rounds):
         specs = [
             company.company_specification(),
             preservation_workload(candidates=3, conflict_groups=2, seed=1)[0],
@@ -273,7 +296,7 @@ class TestPropertySweep:
             (1, ProblemRequest("bcp", query=query1, args=(2,))),
             (2, ProblemRequest("cpp", query=query2)),
             (0, ProblemRequest("cps")),
-        ]
+        ] * rounds
         # the serial, fault-free oracle
         oracle_sessions = [ReasoningSession(s) for s in (
             company.company_specification(),
@@ -284,31 +307,23 @@ class TestPropertySweep:
 
         expected = [_answer(oracle_sessions[i], req) for i, req in items]
 
-        plan = FaultPlan.of(
-            Fault("worker.execute", "kill", after=2, times=1, generation=0),
-            Fault("worker.request", "raise", after=4, times=1),
-            Fault("worker.result", "poison", after=6, times=1),
-            Fault("solver.solve", "budget", after=3, times=1),
-        )
-
         async def scenario():
             async with serve(processes=2, retries=1, fault_plan=plan) as svc:
-                return await svc.gather(
+                answers = await svc.gather(
                     [(specs[i], req) for i, req in items]
                 )
+                return answers, svc.stats()["supervisor"]
 
-        answers = run(scenario())
+        answers, stats = run(scenario())
         assert len(answers) == len(items)
-        labeled = 0
         for answer, truth in zip(answers, expected):
             if answer.ok:
                 assert answer.value == truth  # never silently wrong
             else:
-                labeled += 1
                 assert answer.failure is not None or answer.degraded is not None
                 if answer.degraded is not None:
                     assert answer.degraded.reason
                     assert answer.degraded.attempted
-        # the plan's non-retryable faults must have actually bitten something
-        # (retried faults may legitimately end up ok)
-        assert labeled <= len(items)
+        # the plan actually fired: both plans crash a worker, which the
+        # supervisor respawns (retried faults may legitimately end up ok)
+        assert stats["respawns"] >= 1
