@@ -18,7 +18,8 @@ Quickstart
 """
 
 from repro import analysis, core, preservation, query, reasoning, reductions, session, solvers, workloads
-from repro.session import BatchDriver, ProblemRequest, ReasoningSession
+from repro.serve import BatchDriver
+from repro.session import ProblemRequest, ReasoningSession
 from repro.core import (
     CopyFunction,
     CopySignature,

@@ -25,7 +25,7 @@ code      name                invariant
 ``R5``    index-invalidate    methods writing an indexed carrier attribute call
                               the cache-invalidation hook in the same body
 ``R6``    pickle-safety       no unpicklable members reachable from the types
-                              that cross the ``BatchDriver`` process boundary
+                              that cross the serve process boundary
 ========  ==================  ==================================================
 
 Findings are suppressed *per call site* with an inline pragma that **requires

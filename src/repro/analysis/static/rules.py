@@ -807,34 +807,34 @@ class IndexInvalidateRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# R6 — fork/pickle safety across the BatchDriver boundary
+# R6 — fork/pickle safety across the serve boundary
 # --------------------------------------------------------------------------- #
 class PickleSafetyRule(Rule):
-    """R6: types reachable from the objects that cross the ``BatchDriver``
-    process boundary must not declare unpicklable members.
+    """R6: types reachable from the objects that cross the serve process
+    boundary must not declare unpicklable members.
 
-    Anticipates ROADMAP item 2 (warm-state snapshot/restore): the batch
-    driver pickles specifications, requests and results into worker
-    processes today, and session snapshots tomorrow.  A solver handle,
-    generator or lock annotated into any reachable type would fail at
-    ``pool.map`` time, on the largest workload, in production — this rule
-    fails it at CI time instead.  The pass is a reachability walk over
-    *declared annotations* (dataclass fields, annotated ``self.x``
-    assignments and ``self.x = Constructor()`` inits) across every linted
-    module.
+    :class:`~repro.serve.ReasoningService` pickles every request into a
+    worker process — the ``_ServeWork`` envelope carrying a
+    ``ProblemRequest`` or ``Mutation`` and its ``Specification`` — and
+    pickles the ``Answer`` back.  A solver handle, generator or lock annotated
+    into any reachable type would fail at submit time, on the largest
+    workload, in production; this rule fails it at CI time instead.  The pass
+    is a reachability walk over *declared annotations* (dataclass fields,
+    annotated ``self.x`` assignments and ``self.x = Constructor()`` inits)
+    across every linted module.
     """
 
     code = "R6"
     name = "pickle-safety"
     summary = "no unpicklable members reachable from the process boundary"
     rationale = (
-        "the BatchDriver pickles specs/requests/results into workers; a "
-        "reachable solver handle, generator or lock fails only at pool.map "
-        "time (ROADMAP snapshot/restore makes this surface grow)"
+        "the serving layer pickles requests, mutations and specifications "
+        "into workers and answers back; a reachable solver handle, generator "
+        "or lock fails only when the first such request is submitted"
     )
     project_wide = True
 
-    ROOTS = ("ProblemRequest", "BatchResult", "Specification")
+    ROOTS = ("_ServeWork", "ProblemRequest", "Mutation", "Answer", "Specification")
     UNPICKLABLE: FrozenSet[str] = frozenset(
         {
             "Iterator",
@@ -974,7 +974,7 @@ class SnapshotSafetyRule(PickleSafetyRule):
     unpicklable members.
 
     The snapshot is the warm-state hand-off format (disk cache, worker
-    re-warm, batch shipping): unlike R6's request boundary it *deliberately*
+    re-warm, log compaction): unlike R6's request boundary it *deliberately*
     carries ``Solver`` — the solver grew ``__getstate__``/``__setstate__``
     exactly so learnt clauses, activities and phases survive the hop — so
     ``Solver`` is excused here while every other unpicklable (locks,
@@ -993,9 +993,9 @@ class SnapshotSafetyRule(PickleSafetyRule):
     name = "snapshot-safety"
     summary = "every member reachable from SessionSnapshot must pickle"
     rationale = (
-        "SessionSnapshot is pickled to disk, shipped to respawned workers "
-        "and interned by the batch driver; one reachable lock or generator "
-        "breaks restore-instead-of-re-solve everywhere at once"
+        "SessionSnapshot is pickled to disk and shipped to respawned "
+        "workers; one reachable lock or generator breaks "
+        "restore-instead-of-re-solve everywhere at once"
     )
 
     ROOTS = ("SessionSnapshot",)

@@ -5,13 +5,14 @@ plain picklable value — specifications, queries, tuples of primitives,
 :class:`~repro.exceptions.ErrorRecord` — never a live session, solver or
 lock.
 
-A client submits either a :class:`~repro.session.batch.ProblemRequest` (a
+A client submits either a :class:`~repro.session.requests.ProblemRequest` (a
 read: one of the eight decision problems) or a :class:`Mutation` (a write:
 one incremental ``add_*`` step).  Both come back as an :class:`Answer`, whose
 three mutually-exclusive-ish shapes are:
 
 * ``ok`` — ``value`` holds the verdict/answer set;
-* ``degraded`` — the deadline or budget ran out; :class:`Degraded` names the
+* ``degraded`` — the deadline or budget ran out;
+  :class:`~repro.session.requests.Degraded` (re-exported here) names the
   problem, the exhausted resource and the work spent, and ``value`` is
   **never** populated (a degraded answer is explicitly labeled, not silently
   wrong — the chaos property suite pins this);
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
 
 from repro.exceptions import ErrorRecord, SpecificationError
+from repro.session.requests import Degraded
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.session.footprint import MutationFootprint
@@ -159,26 +161,8 @@ class Mutation:
 
 
 @dataclass(frozen=True)
-class Degraded:
-    """What was tried before the deadline/budget ran out.
-
-    ``reason`` is the exhausted resource (``"deadline"``, ``"conflicts"``,
-    ``"propagations"`` or ``"injected"``); ``attempted`` is a human-readable
-    account of the evaluation that was cut short; ``spent`` carries the
-    conflicts/propagations/elapsed-seconds consumed.  The interrupted solver
-    state survives in the warm session, so re-asking with a larger deadline
-    resumes rather than restarts.
-    """
-
-    problem: str
-    reason: str
-    attempted: str
-    spent: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Answer:
-    """The service's reply to one request or mutation."""
+    """The reply to one request or mutation (service and batch driver alike)."""
 
     problem: str
     value: Any = None
@@ -193,5 +177,5 @@ class Answer:
 
     @property
     def error(self) -> Optional[str]:
-        """Rendered failure, mirroring :attr:`BatchResult.error`."""
+        """Rendered failure string (None when there is no failure)."""
         return None if self.failure is None else self.failure.render()

@@ -48,11 +48,11 @@ from typing import (
 )
 
 from repro.core.specification import Specification
-from repro.exceptions import ErrorRecord, Overloaded, ResourceBudgetExceeded
+from repro.exceptions import ErrorRecord, Overloaded
 from repro.serve.protocol import Answer, Degraded, Mutation
 from repro.serve.router import AffinityRouter, SessionEntry
 from repro.serve.supervisor import WorkerSupervisor, WorkResult
-from repro.session.batch import ProblemRequest, _answer
+from repro.session.requests import ProblemRequest, answer_request
 from repro.session.session import ReasoningSession
 from repro.session.snapshot import (
     SessionSnapshot,
@@ -170,31 +170,13 @@ def _serve_handler(work: _ServeWork, state: Dict[str, Any]) -> Any:
         return (entry.applied, snapshot_bytes(entry.session))
     if isinstance(work.item, _StatsProbe):
         return dict(entry.session.mutation_stats())
-    budget = Budget(deadline=work.deadline) if work.deadline is not None else None
     if isinstance(work.item, Mutation):
+        budget = Budget(deadline=work.deadline) if work.deadline is not None else None
         with budget_scope(budget):
             work.item.apply(entry.session)
         entry.applied += 1
         return True
-    problem = work.item.problem
-    try:
-        with budget_scope(budget):
-            return _answer(entry.session, work.item)
-    except ResourceBudgetExceeded as error:
-        return Degraded(
-            problem=problem,
-            reason=error.reason,
-            attempted=(
-                f"warm {problem} evaluation on session {work.session_key} "
-                f"(mutation log length {len(work.log)}); interrupted solver "
-                "state is retained, so a wider deadline resumes the search"
-            ),
-            spent={
-                "conflicts": float(error.conflicts),
-                "propagations": float(error.propagations),
-                "elapsed_s": error.elapsed_s,
-            },
-        )
+    return answer_request(entry.session, work.item, work.deadline)
 
 
 class ReasoningService:
@@ -207,7 +189,8 @@ class ReasoningService:
     queue_limit:
         Admission-control bound on *queued* requests per session lane; the
         limit turns overload into immediate :class:`Overloaded` failures
-        instead of unbounded queues.
+        instead of unbounded queues.  None disables admission control (a
+        finite batch, as :class:`~repro.serve.batch.BatchDriver` submits).
     retries:
         Retry budget for transient read failures (worker crashes, injected
         transient errors).  Mutations are never retried.
@@ -244,7 +227,7 @@ class ReasoningService:
         self,
         processes: Optional[int] = None,
         *,
-        queue_limit: int = 16,
+        queue_limit: Optional[int] = 16,
         retries: int = 1,
         default_deadline: Optional[DeadlineLike] = None,
         session_capacity: int = 64,
@@ -289,6 +272,11 @@ class ReasoningService:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         self._supervisor.close()
+
+    @property
+    def alive(self) -> bool:
+        """Whether the service still accepts work (False once closed)."""
+        return self._supervisor.alive
 
     def _release_lane(self, key: int) -> None:
         """Router eviction hook: an evicted session's key is never reused,

@@ -1,9 +1,9 @@
 """Crash-surviving worker supervision.
 
 :class:`WorkerSupervisor` owns a fixed set of spawned worker processes and a
-set of *lanes* — per-key FIFO queues (one per warm session, or one per batch
-group) with a sticky worker assignment, so every request for one lane is
-executed by the same worker in submission order.  It exists because
+set of *lanes* — per-key FIFO queues (one per warm session) with a sticky
+worker assignment, so every request for one lane is executed by the same
+worker in submission order.  It exists because
 ``multiprocessing.Pool`` does not survive its workers: a worker that dies
 mid-task (segfault, OOM kill, ``os._exit``) strands the task forever and the
 whole batch with it.  The supervisor instead:
@@ -62,13 +62,12 @@ their router has evicted.
 Every handed-back outcome is a :class:`WorkResult`; the supervisor never
 raises through a future, so callers branch on ``result.ok`` uniformly.
 
-The supervisor itself ships payloads opaquely, but both of its clients
-exploit that opacity for warm-state hand-off: the serving layer and the batch
-driver embed pickled :class:`~repro.session.snapshot.SessionSnapshot` bytes
-in their work items, so a **respawned** worker (this module's whole reason to
-exist) re-warms its lost sessions by restoring a snapshot and replaying only
-the log suffix past its watermark — instead of re-solving from the base
-specification.
+The supervisor itself ships payloads opaquely, but the serving layer exploits
+that opacity for warm-state hand-off: it embeds pickled
+:class:`~repro.session.snapshot.SessionSnapshot` bytes in its work items, so
+a **respawned** worker (this module's whole reason to exist) re-warms its
+lost sessions by restoring a snapshot and replaying only the log suffix past
+its watermark — instead of re-solving from the base specification.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The warm-state session layer: one facade over all eight decision problems
 (CPS, COP, DCIP, CCQA/SP, CPP, ECP, BCP), mutation-aware cache invalidation,
-snapshot/restore hand-off between processes, and a parallel batch driver with
-per-worker session interning."""
+snapshot/restore hand-off between processes, and the request type plus the
+answer function every front end (:mod:`repro.serve`) shares."""
 
-from repro.session.batch import PROBLEMS, BatchDriver, BatchResult, ProblemRequest
+from repro.session.requests import PROBLEMS, ProblemRequest, answer_request
 from repro.session.session import ReasoningSession
 from repro.session.snapshot import (
     SessionSnapshot,
@@ -15,10 +15,9 @@ from repro.session.snapshot import (
 
 __all__ = [
     "ReasoningSession",
-    "BatchDriver",
-    "BatchResult",
     "ProblemRequest",
     "PROBLEMS",
+    "answer_request",
     "SessionSnapshot",
     "SnapshotStore",
     "restore_bytes",

@@ -1,6 +1,6 @@
 """Deterministic, monkeypatch-free fault injection.
 
-The chaos suite must be able to kill a worker mid-group, stall a solver,
+The chaos suite must be able to kill a worker mid-request, stall a solver,
 poison a result's pickling or exhaust a budget at the k-th conflict — in the
 *real* code paths, across *real* process boundaries, without monkeypatching
 (patches do not survive a worker respawn and silently miss spawn-started
@@ -23,7 +23,6 @@ point                     where it fires
 ``worker.request``        a supervised worker received a work item
 ``worker.execute``        a supervised worker is about to run the handler
 ``worker.result``         a supervised worker is about to send a result
-``batch.group``           a batch worker is about to evaluate one group
 ========================  ===================================================
 
 Actions: ``"kill"`` (``os._exit`` — a hard crash, as a segfault or OOM kill

@@ -12,8 +12,7 @@ import time
 import pytest
 
 from repro.serve import Mutation, ReasoningService
-from repro.session import ReasoningSession
-from repro.session.batch import ProblemRequest
+from repro.session import ProblemRequest, ReasoningSession, answer_request
 from repro.testing.faults import Fault, FaultPlan
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload
@@ -303,9 +302,7 @@ class TestPropertySweep:
             preservation_workload(candidates=3, conflict_groups=2, seed=1)[0],
             preservation_workload(candidates=2, conflict_groups=2, seed=7)[0],
         )]
-        from repro.session.batch import _answer
-
-        expected = [_answer(oracle_sessions[i], req) for i, req in items]
+        expected = [answer_request(oracle_sessions[i], req) for i, req in items]
 
         async def scenario():
             async with serve(processes=2, retries=1, fault_plan=plan) as svc:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.serve import ReasoningService
-from repro.session.batch import ProblemRequest
+from repro.session import ProblemRequest
 from repro.testing.faults import Fault, FaultPlan
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload
@@ -30,7 +30,7 @@ HOST = textwrap.dedent(
     import asyncio, json, multiprocessing, sys, time
     from multiprocessing import resource_tracker
     from repro.serve import ReasoningService
-    from repro.session.batch import ProblemRequest
+    from repro.session import ProblemRequest
     from repro.workloads import company
 
     service = ReasoningService(processes=1)
@@ -50,7 +50,7 @@ CYCLE = textwrap.dedent(
     """
     import asyncio
     from repro.serve import ReasoningService
-    from repro.session.batch import ProblemRequest
+    from repro.session import ProblemRequest
     from repro.workloads import company
 
     service = ReasoningService(processes=2)

@@ -12,7 +12,7 @@ import signal
 import time
 
 from repro.serve import ReasoningService
-from repro.session.batch import ProblemRequest
+from repro.session import ProblemRequest
 from repro.testing.faults import Fault, FaultPlan
 from repro.workloads import company
 

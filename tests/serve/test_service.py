@@ -10,8 +10,7 @@ import time
 import pytest
 
 from repro.serve import Mutation, ReasoningService
-from repro.session import ReasoningSession
-from repro.session.batch import ProblemRequest
+from repro.session import ProblemRequest, ReasoningSession
 from repro.solvers.budget import Budget
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload

@@ -14,8 +14,7 @@ import pytest
 from repro.exceptions import SpecificationError
 from repro.serve import Mutation, ReasoningService
 from repro.serve.router import AffinityRouter, SessionEntry
-from repro.session import ReasoningSession
-from repro.session.batch import ProblemRequest
+from repro.session import ProblemRequest, ReasoningSession
 from repro.testing.faults import Fault, FaultPlan
 from repro.workloads import company
 

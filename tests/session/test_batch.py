@@ -1,16 +1,17 @@
-"""Tests for the batch driver: grouping by structural spec equality, serial
-vs parallel result equality, per-request error isolation."""
+"""Tests for the batch driver: structural session sharing, serial vs parallel
+answer equality (budget expiry included), per-request error isolation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import SpecificationError
+from repro.preservation.cpp import is_currency_preserving
 from repro.reasoning.ccqa import certain_current_answers
 from repro.reasoning.cps import is_consistent
-from repro.session import BatchDriver, ProblemRequest
-from repro.session.batch import _SessionPool
-from repro.workloads import company
+from repro.serve import BatchDriver
+from repro.session import ProblemRequest
+from repro.solvers.budget import Budget
 from repro.workloads.synthetic import (
     SyntheticConfig,
     preservation_workload,
@@ -45,26 +46,37 @@ def _request_stream():
     ]
 
 
+def _budget_expiry_request():
+    """A CPP request whose one-conflict budget interrupts the search."""
+    spec, query = preservation_workload(candidates=3, conflict_groups=2, seed=1)
+    return spec, ProblemRequest(
+        "cpp", query=query, kwargs={"deadline": Budget(max_conflicts=1)}
+    )
+
+
 class TestGroupingAndSerial:
     def test_structurally_equal_specs_share_one_session(self):
-        requests = _request_stream()
         driver = BatchDriver(serial=True)
-        groups = driver._group(requests)
-        # spec_a and spec_a_again are value-identical -> one group; spec_b
-        # and spec_c are their own groups
-        assert len(groups) == 3
-        assert [len(items) for _spec, items in groups] == [4, 3, 1]
+        driver.run(_request_stream())
+        # spec_a and spec_a_again are value-identical -> one session; spec_b
+        # and spec_c get their own
+        stats = driver._router.stats()
+        assert (stats["sessions"], stats["hits"], stats["misses"]) == (3, 5, 3)
+        assert len(driver._sessions) == 3
 
     def test_serial_results_match_direct_module_calls(self):
         requests = _request_stream()
         results = BatchDriver(serial=True).run(requests)
-        assert [r.index for r in results] == list(range(len(requests)))
+        assert [r.problem for r in results] == [q.problem for _, q in requests]
         assert all(r.ok for r in results), [r.error for r in results]
         spec_a, _ = requests[0]
         query_a = requests[1][1].query
+        spec_b, cpp_request = requests[4]
         assert results[0].value == is_consistent(spec_a.copy())
         assert results[1].value == certain_current_answers(query_a, spec_a.copy())
-        assert results[4].value in (True, False)
+        assert results[4].value == is_currency_preserving(
+            cpp_request.query, spec_b.copy(), method="enumerate"
+        )
         assert results[5].value is True  # ECP on a consistent spec
 
     def test_errors_are_isolated_per_request(self):
@@ -82,27 +94,32 @@ class TestGroupingAndSerial:
         with pytest.raises(SpecificationError):
             ProblemRequest("nope")
 
-    def test_session_pool_interns_structurally(self):
-        pool = _SessionPool(capacity=2)
-        spec = company.company_specification()
-        rebuilt = company.company_specification()
-        assert pool.session_for(spec) is pool.session_for(rebuilt)
-        assert pool.hits == 1 and pool.misses == 1
-        other = random_specification(SyntheticConfig(seed=4))
-        assert pool.session_for(other) is not pool.session_for(spec)
-
 
 class TestCrossBatchReuse:
     def test_serial_driver_keeps_sessions_across_runs(self):
-        """The driver's in-process pool persists between run() calls, so a
-        later batch naming an already-served spec reuses the warm session."""
+        """The driver's router persists between run() calls, so a later batch
+        naming an already-served spec reuses the warm session."""
         spec = random_specification(SyntheticConfig(seed=6, with_constraints=True))
         rebuilt = random_specification(SyntheticConfig(seed=6, with_constraints=True))
         driver = BatchDriver(serial=True)
         first = driver.run([(spec, ProblemRequest("cps"))])
         second = driver.run([(rebuilt, ProblemRequest("cps"))])
         assert first[0].value == second[0].value
-        assert driver._local_pool.hits == 1 and driver._local_pool.misses == 1
+        stats = driver._router.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
+    def test_serial_driver_drops_the_sessions_its_router_evicts(self):
+        specs = [
+            random_specification(SyntheticConfig(seed=seed, with_constraints=False))
+            for seed in range(65)  # one past the router's default capacity
+        ]
+        driver = BatchDriver(serial=True)
+        first = driver.run([(spec, ProblemRequest("cps")) for spec in specs])
+        assert driver._router.stats()["evictions"] == 1
+        assert len(driver._sessions) == 64
+        # the evicted first spec comes back on a fresh session, same answer
+        (again,) = driver.run([(specs[0], ProblemRequest("cps"))])
+        assert again.value == first[0].value == is_consistent(specs[0].copy())
 
     def test_ecp_wrapper_rejects_a_space_for_another_spec(self):
         from repro.preservation.ecp import currency_preserving_extension_exists
@@ -118,26 +135,38 @@ class TestCrossBatchReuse:
 
 class TestParallel:
     def test_parallel_matches_serial(self):
-        requests = _request_stream()
-        serial = BatchDriver(serial=True).run(requests)
+        # each mode gets its own stream: the budget request's Budget is a
+        # mutable spend tracker, so the two runs must not share it
+        serial = BatchDriver(serial=True).run(
+            _request_stream() + [_budget_expiry_request()]
+        )
         with BatchDriver(processes=2) as driver:
-            parallel = driver.run(requests)
-        assert [(r.index, r.problem, r.value, r.error) for r in serial] == [
-            (r.index, r.problem, r.value, r.error) for r in parallel
-        ]
+            parallel = driver.run(_request_stream() + [_budget_expiry_request()])
+            router = driver._service.stats()["router"]
+
+        def shape(answer):
+            reason = answer.degraded.reason if answer.degraded is not None else None
+            return answer.problem, answer.value, answer.error, reason
+
+        assert [shape(r) for r in serial] == [shape(r) for r in parallel]
+        assert serial[-1].degraded.reason == "conflicts"
+        # the service interned the two structurally equal specs, as serial did
+        assert (router["sessions"], router["hits"], router["misses"]) == (4, 5, 4)
 
     def test_worker_pool_persists_across_runs(self):
-        """The multiprocessing pool lives on the driver, so workers (and
-        their interned sessions) survive between batches."""
+        """The service lives on the driver, so its workers (and their warm
+        sessions) survive between batches, until close()."""
         spec_a = random_specification(SyntheticConfig(seed=9, with_constraints=True))
         spec_b = random_specification(SyntheticConfig(seed=10, with_constraints=True))
-        stream = [(spec_a, ProblemRequest("cps")), (spec_b, ProblemRequest("cps"))]
         with BatchDriver(processes=2) as driver:
-            first = driver.run(stream)
-            pool = driver._workers
-            assert pool is not None  # a single-group run would stay in-process
+            first = driver.run([(spec_a, ProblemRequest("cps"))])
+            service = driver._service
             second = driver.run([(spec_a, ProblemRequest("dcip")),
                                  (spec_b, ProblemRequest("dcip"))])
-            assert driver._workers is pool  # same worker processes
-        assert driver._workers is None  # released on exit
+            assert driver._service is service  # same worker processes
+            stats = service.stats()
+        assert driver._service is None  # released on exit
+        assert not service.alive
+        assert stats["supervisor"]["respawns"] == 0
+        assert (stats["router"]["hits"], stats["router"]["misses"]) == (1, 2)
         assert all(r.ok for r in first + second)

@@ -1,13 +1,13 @@
-"""Chaos tests for the batch driver's supervised parallel mode.
+"""Chaos tests for the batch driver's parallel mode (a ReasoningService client).
 
-The contract: a worker failure (crash, hang, poisoned result) fails only the
-requests of the group it was executing — every other group's results are
-exactly what a fault-free serial run produces."""
+The contract is per request: a worker failure (crash, hang, poisoned result)
+fails only the request it was executing — every other answer is exactly what
+a fault-free serial run produces.  Reads are retried once, so a one-shot crash
+is invisible in the answers; a crash that also kills the retry comes back as
+a retryable ``WorkerCrashed`` record."""
 
-import pytest
-
-from repro.session import BatchDriver, ProblemRequest
-from repro.session.batch import _SessionPool
+from repro.serve import BatchDriver
+from repro.session import ProblemRequest
 from repro.testing.faults import Fault, FaultPlan
 from repro.workloads import company
 from repro.workloads.synthetic import (
@@ -16,9 +16,17 @@ from repro.workloads.synthetic import (
     random_specification,
 )
 
+#: one worker, killed on its last (5th) execution and again on the retry:
+#: by then every other lane is drained, so the retry is the first execution
+#: of the respawned generation 1
+KILL_THE_RETRY = FaultPlan.of(
+    Fault("worker.execute", "kill", after=4, times=1, generation=0),
+    Fault("worker.execute", "kill", after=0, times=1, generation=1),
+)
 
-def _three_group_stream():
-    """Three structurally distinct specs → three parallel groups."""
+
+def _three_spec_stream():
+    """Three structurally distinct specs → three session lanes."""
     spec_a = company.company_specification()
     spec_b, query_b = preservation_workload(
         candidates=2, conflict_groups=1, spoiler=True, seed=2
@@ -37,44 +45,48 @@ def _serial_oracle(requests):
     return BatchDriver(serial=True).run(requests)
 
 
-def _by_spec(requests, results, spec):
-    return [r for (s, _), r in zip(requests, results) if s is spec]
+def _assert_exact(result, truth):
+    assert result.ok, result.error
+    assert (result.problem, result.value) == (truth.problem, truth.value)
 
 
 class TestCrashIsolation:
-    def test_killed_group_fails_alone_with_neighbours_exact(self):
-        requests = _three_group_stream()
+    def test_one_shot_kill_is_retried_and_answers_correctly(self):
+        requests = _three_spec_stream()
         oracle = _serial_oracle(requests)
-        # one worker, killed on its first group (generation 0 only): the
-        # first group's requests fail, the respawned worker answers the rest
+        # the first execution of generation 0 dies; the respawned worker
+        # answers the retry and everything else
         plan = FaultPlan.of(
-            Fault("batch.group", "kill", after=0, times=1, generation=0)
+            Fault("worker.execute", "kill", after=0, times=1, generation=0)
         )
         with BatchDriver(processes=1, fault_plan=plan) as driver:
             results = driver.run(requests)
-            respawns = driver._workers.stats()["respawns"]
+            respawns = driver._service.stats()["supervisor"]["respawns"]
         assert respawns == 1
-        # group 0 (the company spec, requests 0-1) died with the worker
-        for result in results[:2]:
-            assert not result.ok
-            assert result.failure is not None
-            assert result.failure.kind == "WorkerCrashed"
-            assert result.failure.retryable
-        # groups 1 and 2 match the serial oracle exactly
-        for result, truth in zip(results[2:], oracle[2:]):
-            assert result.ok
-            assert (result.index, result.problem, result.value) == (
-                truth.index,
-                truth.problem,
-                truth.value,
-            )
+        for result, truth in zip(results, oracle):
+            _assert_exact(result, truth)
+        assert results[0].attempts == 2  # the killed request, retried
+
+    def test_killed_request_fails_alone_with_neighbours_exact(self):
+        requests = _three_spec_stream()
+        oracle = _serial_oracle(requests)
+        with BatchDriver(processes=1, fault_plan=KILL_THE_RETRY) as driver:
+            results = driver.run(requests)
+            respawns = driver._service.stats()["supervisor"]["respawns"]
+        assert respawns == 2
+        failed = [index for index, result in enumerate(results) if not result.ok]
+        assert len(failed) == 1
+        crashed = results[failed[0]]
+        assert crashed.failure.kind == "WorkerCrashed"
+        assert crashed.failure.retryable
+        assert crashed.attempts == 2
+        for index, (result, truth) in enumerate(zip(results, oracle)):
+            if index != failed[0]:
+                _assert_exact(result, truth)
 
     def test_error_string_property_stays_compatible(self):
-        plan = FaultPlan.of(
-            Fault("batch.group", "kill", after=0, times=1, generation=0)
-        )
-        with BatchDriver(processes=1, fault_plan=plan) as driver:
-            results = driver.run(_three_group_stream())
+        with BatchDriver(processes=1, fault_plan=KILL_THE_RETRY) as driver:
+            results = driver.run(_three_spec_stream())
         failed = [r for r in results if not r.ok]
         assert failed
         # .error renders the structured record in the historical repr style
@@ -85,11 +97,8 @@ class TestCrashIsolation:
     def test_failure_records_survive_pickling(self):
         import pickle
 
-        plan = FaultPlan.of(
-            Fault("batch.group", "kill", after=0, times=1, generation=0)
-        )
-        with BatchDriver(processes=1, fault_plan=plan) as driver:
-            results = driver.run(_three_group_stream())
+        with BatchDriver(processes=1, fault_plan=KILL_THE_RETRY) as driver:
+            results = driver.run(_three_spec_stream())
         clone = pickle.loads(pickle.dumps(results))
         assert [r.ok for r in clone] == [r.ok for r in results]
         failed = next(r for r in clone if not r.ok)
@@ -97,102 +106,78 @@ class TestCrashIsolation:
 
 
 class TestHangsAndPoison:
-    def test_hung_group_is_killed_at_the_group_timeout(self):
-        requests = _three_group_stream()
+    def test_hung_request_is_killed_at_the_deadline(self):
+        requests = _three_spec_stream()
         oracle = _serial_oracle(requests)
-        # two workers, each sleeping on the *second* group it executes: the
-        # first two groups complete, the third hangs whichever worker it
-        # lands on and is killed at group_timeout + hang grace
+        # one worker, sleeping on its last (5th) execution: the first four
+        # requests complete, the fifth hangs and is killed at deadline +
+        # hang grace
         plan = FaultPlan.of(
-            Fault("batch.group", "sleep", seconds=30.0, after=1, times=1)
+            Fault("worker.execute", "sleep", seconds=30.0, after=4, times=1)
         )
-        with BatchDriver(processes=2, fault_plan=plan, group_timeout=0.4) as driver:
+        with BatchDriver(processes=1, fault_plan=plan, deadline=1.5) as driver:
             results = driver.run(requests)
-        for result, truth in zip(results[:4], oracle[:4]):
-            assert result.ok, result.error
-            assert result.value == truth.value
-        hung = results[4]
-        assert not hung.ok
+        failed = [index for index, result in enumerate(results) if not result.ok]
+        assert len(failed) == 1
+        hung = results[failed[0]]
         assert hung.failure.kind == "DeadlineExceeded"
+        assert hung.degraded is not None and hung.degraded.reason == "deadline"
+        for index, (result, truth) in enumerate(zip(results, oracle)):
+            if index != failed[0]:
+                _assert_exact(result, truth)
 
-    def test_poisoned_group_result_is_a_structured_failure(self):
-        requests = _three_group_stream()
+    def test_poisoned_result_is_a_structured_failure(self):
+        requests = _three_spec_stream()
         oracle = _serial_oracle(requests)
         plan = FaultPlan.of(Fault("worker.result", "poison", after=0, times=1))
         with BatchDriver(processes=1, fault_plan=plan) as driver:
             results = driver.run(requests)
-        for result in results[:2]:
-            assert not result.ok
-            assert result.failure.exception == "TypeError"
-            assert "unpicklable" in result.failure.message
-        for result, truth in zip(results[2:], oracle[2:]):
-            assert result.ok and result.value == truth.value
+        # the first request runs first on the single worker; a poisoned
+        # result is not retryable, so it fails alone
+        assert not results[0].ok
+        assert results[0].failure.exception == "TypeError"
+        assert "unpicklable" in results[0].failure.message
+        for result, truth in zip(results[1:], oracle[1:]):
+            _assert_exact(result, truth)
 
-    def test_transient_error_is_structured_and_marked_retryable(self):
-        requests = _three_group_stream()
+    def test_transient_error_is_retried_and_answers_correctly(self):
+        requests = _three_spec_stream()
+        oracle = _serial_oracle(requests)
         plan = FaultPlan.of(
             Fault("worker.execute", "raise", after=0, times=1,
                   message="transient blip")
         )
         with BatchDriver(processes=1, fault_plan=plan) as driver:
             results = driver.run(requests)
-        failed = [r for r in results if not r.ok]
-        assert failed
-        assert failed[0].failure.exception == "InjectedFault"
-        assert failed[0].failure.retryable
-        assert failed[0].failure.message == "transient blip"
+        for result, truth in zip(results, oracle):
+            _assert_exact(result, truth)
+        assert results[0].attempts == 2
+
+    def test_persistent_transient_error_is_structured_and_marked_retryable(self):
+        plan = FaultPlan.of(
+            Fault("worker.execute", "raise", every=1, message="transient blip")
+        )
+        with BatchDriver(processes=1, fault_plan=plan) as driver:
+            results = driver.run(_three_spec_stream())
+        for result in results:
+            assert not result.ok
+            assert result.failure.exception == "InjectedFault"
+            assert result.failure.retryable
+            assert result.failure.message == "transient blip"
+            assert result.attempts == 2  # the one retry reads get
 
 
 class TestPoolResilience:
-    def test_driver_replaces_an_externally_broken_pool(self):
-        requests = _three_group_stream()
+    def test_driver_replaces_an_externally_closed_service(self):
+        requests = _three_spec_stream()
         oracle = _serial_oracle(requests)
         with BatchDriver(processes=1) as driver:
             first = driver.run(requests)
-            broken = driver._workers
-            broken.close()  # simulate the pool dying out from under the driver
+            broken = driver._service
+            broken.close()  # simulate the service dying out from under the driver
             assert not broken.alive
             second = driver.run(requests)
-            assert driver._workers is not broken
+            assert driver._service is not broken
         for results in (first, second):
             for result, truth in zip(results, oracle):
-                assert result.ok
-                assert result.value == truth.value
-
-
-class TestSessionPoolLRU:
-    def _spec(self, seed):
-        return random_specification(SyntheticConfig(seed=seed, with_constraints=False))
-
-    def test_hit_promotes_and_eviction_drops_least_recent(self):
-        pool = _SessionPool(capacity=2)
-        spec_a, spec_b, spec_c = self._spec(1), self._spec(2), self._spec(3)
-        session_a = pool.session_for(spec_a)
-        pool.session_for(spec_b)
-        # touching A promotes it to most-recently-used ...
-        assert pool.session_for(spec_a) is session_a
-        # ... so inserting C evicts B, not A
-        pool.session_for(spec_c)
-        assert pool.evictions == 1
-        assert pool.session_for(spec_a) is session_a
-        # B is cold again: re-asking builds a fresh session (a miss)
-        misses_before = pool.misses
-        pool.session_for(spec_b)
-        assert pool.misses == misses_before + 1
-
-    def test_stats_counters(self):
-        pool = _SessionPool(capacity=2)
-        spec_a, spec_b, spec_c = self._spec(1), self._spec(2), self._spec(3)
-        pool.session_for(spec_a)
-        pool.session_for(spec_a)
-        pool.session_for(spec_b)
-        pool.session_for(spec_c)
-        stats = pool.stats()
-        assert stats == {
-            "hits": 1,
-            "misses": 3,
-            "evictions": 1,
-            "sessions": 2,
-            "capacity": 2,
-            "restores": 0,
-        }
+                _assert_exact(result, truth)

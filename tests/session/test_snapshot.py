@@ -18,8 +18,9 @@ import pytest
 
 from repro.core.tuples import RelationTuple
 from repro.exceptions import SpecificationError
+from repro.serve import BatchDriver
 from repro.session import (
-    BatchDriver,
+    ProblemRequest,
     ReasoningSession,
     SessionSnapshot,
     SnapshotStore,
@@ -27,7 +28,6 @@ from repro.session import (
     snapshot_bytes,
     specification_fingerprint,
 )
-from repro.session.batch import ProblemRequest
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload
 
@@ -312,10 +312,10 @@ class TestSnapshotStore:
 
 
 # --------------------------------------------------------------------------- #
-# Batch driver snapshot interning
+# Batch driver: warm state lives in the service, not across close()
 # --------------------------------------------------------------------------- #
 class TestBatchSnapshotShipping:
-    def test_parallel_groups_ship_and_restore_snapshots(self):
+    def test_parallel_runs_answer_like_serial_across_close(self):
         spec = company.company_specification()
         queries = company.paper_queries()
         requests = [
@@ -330,9 +330,12 @@ class TestBatchSnapshotShipping:
         with BatchDriver(processes=2) as driver:
             first = driver.run(requests)
             assert [r.value for r in first] == expected
-            assert driver.snapshots_captured == 2  # one per group
-            # dropping the workers forces restores on the next batch
+            router = driver._service.stats()["router"]
+            assert (router["sessions"], router["hits"], router["misses"]) == (2, 1, 2)
+            # close() releases the service and its warm sessions; the next
+            # run starts a cold service and still answers exactly
             driver.close()
             second = driver.run(requests)
             assert [r.value for r in second] == expected
-            assert driver.snapshots_shipped >= 2
+            router = driver._service.stats()["router"]
+            assert (router["sessions"], router["misses"]) == (2, 2)
