@@ -36,8 +36,8 @@ class CurrentDatabaseCache:
     Distinct completions frequently induce the same current instance, and the
     enumeration loops of the CCQA layer evaluate one query against each of
     them.  Interning the decoded instances here (exactly as
-    :meth:`~repro.reasoning.current_db.CurrentDatabaseEnumerator._decode` does
-    for projected SAT models) means each distinct current instance is
+    :meth:`~repro.solvers.order_encoding.CompletionEncoder.current_databases`
+    does for projected SAT models) means each distinct current instance is
     constructed once, its lazily built per-column query indexes are reused,
     and the :class:`~repro.query.engine.QueryEngine` answer cache — keyed by
     instance identity-independent value fingerprints — is probed with cheap,

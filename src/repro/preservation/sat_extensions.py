@@ -10,13 +10,16 @@ a fresh :class:`~repro.core.specification.Specification` and re-encodes each
 one from scratch — exponential work even on the (frequent) subsets whose
 ``Mod(S^e)`` is empty.
 
-This module instead encodes the *whole* search space once, as CNF over one
-**selector variable** per candidate import of the
-:func:`~repro.preservation.extensions.candidate_closure` — base candidates
-*and* the derived candidates that only become importable once their
-prerequisite import is present (chained copy functions) — conjoined with the
-completion order-encoding of the *maximal* extension (every closure candidate
-applied):
+:class:`ExtensionSearchSpace` instead encodes the *whole* search space once.
+It is a :class:`~repro.solvers.order_encoding.CompletionEncoder` over the
+*maximal* extension (every candidate of the
+:func:`~repro.preservation.extensions.candidate_closure` applied — base
+candidates *and* the derived candidates that only become importable once
+their prerequisite import is present), plus one **selector variable** per
+candidate import.  The encoder's presence-guard hook returns the selectors,
+so every clause the encoder emits about an imported tuple only binds when
+that import is selected; with an empty closure the space encodes exactly
+what the base encoder does.  What the space adds:
 
 =====================  =====================================================
 Paper notion           Clauses
@@ -26,57 +29,37 @@ Paper notion           Clauses
                        of ``Ext(ρ)`` (the empty selection is ρ itself)
 chained imports        one implication ``selector(derived) ⟹
                        selector(prerequisite)`` per derived candidate, so
-                       every model is automatically downward closed — a
-                       derived tuple never appears without the import that
-                       creates its source tuple, and chained specifications
-                       run CPP/ECP/BCP entirely in-space on the one warm
-                       solver (no per-extension re-encoding)
-completion of S^e      currency-pair variables ``(instance, attribute, t1,
-                       t2)`` over the entity blocks of the maximal extension;
-                       antisymmetry and transitivity are asserted outright,
-                       totality of a pair only under the presence (selector)
-                       of both tuples — absent tuples degrade to unconstrained
-                       junk that any total order of the block satisfies
-``D^c_t |= φ``         every grounded denial-constraint implication is gated
-                       on the selectors of its grounding's *support* tuples
-                       (a grounding over an unimported tuple does not exist
-                       in ``S^e`` and must not fire)
-≺-compatibility        copy-function implications "s1 ≺ s2 ⟹ t1 ≺ t2" of the
-                       maximal extension, gated on the selectors of the
-                       mapped tuples involved
-``LST(D^c)``           one maximality variable per (instance, entity, tuple,
-                       attribute): ``max ⟹ present`` and ``max ∧ present(u)
-                       ⟹ u ≺ t``, with an at-least-one clause per (entity,
-                       attribute); on top, one **value variable** per
-                       (instance, entity, attribute, value) defined as the
-                       disjunction of the maximality variables of the tuples
-                       carrying that value — current databases are enumerated
-                       as models projected onto the *value* variables, so
-                       distinct maximal tuples with equal values are
-                       enumerated once instead of once per tuple
+                       every model is downward closed and chained
+                       specifications run CPP/ECP/BCP entirely in-space
+completion of S^e      the encoder's pair, denial and copy clauses over the
+                       maximal extension; totality, groundings and copy
+                       implications are gated on the selectors of the
+                       imported tuples involved, so absent tuples degrade to
+                       unconstrained junk
+``LST(D^c)``           the encoder's value columns for every instance, with
+                       ``max ⟹ present`` for imported tuples; current
+                       databases are enumerated per selection as models
+                       projected onto the value variables
 ``|ρ^e| ≤ |ρ| + k``    a sequential-counter order encoding of the selector
                        count (``("cnt", i, j)`` ⟺ "≥ j of the first i
-                       selectors hold") over *all* closure selectors, so a
-                       derived import's prerequisites count toward the
-                       bound; the bound ``k`` is one assumption literal
+                       selectors hold") over *all* closure selectors; the
+                       bound ``k`` is one assumption literal
                        ``¬("cnt", n, k+1)``, so BCP bound sweeps reuse the
                        warm solver
 =====================  =====================================================
 
-All questions run on **one incremental CDCL solver**
-(:class:`~repro.solvers.sat.Solver`):
+All questions run on the encoder's **one incremental solver**:
 
 * consistency probes (``Mod(S^e) ≠ ∅``) are `solve(assumptions=selectors)`
   calls — by upward monotonicity of inconsistency a positive-only probe is
   exact, and :meth:`~repro.solvers.sat.Solver.analyze_final` then names the
   imports that jointly force the inconsistency or bound violation;
+* the base problems (CPS, COP, DCIP) are the inherited encoder questions
+  under the exact empty selection;
 * enumeration (of consistent extensions, and of current databases per
   extension) adds blocking clauses gated behind a fresh activation literal
-  per pass, so concurrently consumed enumerations never see each other's
-  blocking clauses and everything the solver learns stays warm across the
-  whole CPP/ECP/BCP decision;
-* finished passes retire their activation literal with a root-level unit so
-  assumption lists do not grow with the number of passes.
+  per pass, so everything the solver learns stays warm across the whole
+  CPP/ECP/BCP decision.
 
 The seed enumerator is retained as the reference oracle; the property-based
 harness in ``tests/property/test_extension_search.py`` checks both engines
@@ -85,7 +68,6 @@ agree on randomized specifications.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import (
     Any,
     Dict,
@@ -100,9 +82,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.completion import CurrentDatabaseCache
-from repro.core.denial import DenialConstraint
-from repro.core.instance import NormalInstance, TemporalInstance
+from repro.core.instance import NormalInstance
 from repro.core.specification import Specification
 from repro.exceptions import SolverError, SpecificationError
 from repro.preservation.extensions import (
@@ -113,9 +93,8 @@ from repro.preservation.extensions import (
     candidate_closure,
 )
 from repro.query.engine import QueryEngine
-from repro.solvers.cnf import CNF
-from repro.solvers.backend import SolverBackend, create_solver, resolve_backend
-from repro.solvers.sat import Model
+from repro.solvers.backend import resolve_backend
+from repro.solvers.order_encoding import CompletionEncoder
 
 __all__ = ["ExtensionSearchSpace", "space_for", "SEARCHES"]
 
@@ -132,7 +111,6 @@ _DB_MEMO_CAP = 256
 #: streamed on every pass instead of pinned in memory (the huge-family BCP
 #: fallback must stay time-bounded, never memory-bounded).
 _SELECTION_MEMO_CAP = 100_000
-
 
 def space_for(
     specification: Specification,
@@ -174,7 +152,7 @@ def space_for(
     return space
 
 
-class ExtensionSearchSpace:
+class ExtensionSearchSpace(CompletionEncoder):
     """One warm SAT encoding of the extension search space of a specification.
 
     Parameters
@@ -201,6 +179,7 @@ class ExtensionSearchSpace:
     #: re-encodes from scratch (the pre-closure BCP fallback did).
     constructions = 0
 
+
     def __init__(
         self,
         specification: Specification,
@@ -208,10 +187,7 @@ class ExtensionSearchSpace:
         backend: Optional[str] = None,
     ) -> None:
         type(self).constructions += 1
-        self.specification = specification
         self.match_entities_by_eid = match_entities_by_eid
-        #: resolved solver backend name (see :mod:`repro.solvers.backend`)
-        self.backend = resolve_backend(backend)
         self.closure: CandidateClosure = candidate_closure(
             specification, match_entities_by_eid=match_entities_by_eid
         )
@@ -219,29 +195,13 @@ class ExtensionSearchSpace:
         #: derived candidate index -> index of the import creating its source
         self.prerequisites: Dict[int, int] = dict(self.closure.prerequisites)
         self.full_extension: SpecificationExtension = self.closure.extension
-        #: the maximal extension S^full — every closure candidate applied
-        self.full: Specification = self.full_extension.specification
-        self.cnf = CNF()
         self._selector_vars: List[int] = []
         # (instance name, imported tid) -> candidate index
         self._selector_by_tid: Dict[Tuple[str, Hashable], int] = {}
-        # instance -> [(eid, [(attribute, [(value, value var)])])]: the
-        # value-level projection used by current-database enumeration
-        self._value_slots: Dict[str, List[Tuple[Any, List[Tuple[str, List[Tuple[Any, int]]]]]]] = {}
-        self._solver: Optional[SolverBackend] = None
-        self._fed_clauses = 0
-        self._activation_literals: List[int] = []
-        self._activation_count = 0
         #: how many selectors the sequential counter currently covers; the
         #: counter is chained, so :meth:`_ensure_counter` can *top it up* when
         #: :meth:`extend_with_tuples` grows the selector universe
         self._counter_size = 0
-        #: (instance, eid) -> maximality-encoding generation.  A block that
-        #: gains tuples is re-encoded with fresh generation-suffixed max/value
-        #: variables (CNF clauses cannot be retracted); absent means the
-        #: build-time generation 0 is still current.
-        self._maximality_generation: Dict[Tuple[str, Hashable], int] = {}
-        self._instance_cache = CurrentDatabaseCache()
         self._answer_cache: Dict[Tuple[Any, FrozenSet[int]], Optional[FrozenSet]] = {}
         # (selection, relations) -> the complete list of its current databases;
         # lets every engine sweeping the same selections (CPP after CCQA, a
@@ -264,15 +224,16 @@ class ExtensionSearchSpace:
         #: graph could chain but whose chained sources have nothing importable
         #: is (correctly) reported unchained
         self.has_chained_candidates = bool(self.prerequisites)
-        self._build()
+        super().__init__(specification, backend=backend)
+
+    @property
+    def full(self) -> Specification:
+        """The maximal extension S^full — every closure candidate applied."""
+        return self.full_extension.specification
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def _pair(self, instance: str, attribute: str, lower: Hashable, upper: Hashable) -> int:
-        """The variable of ``lower ≺_attribute upper`` in *instance*."""
-        return self.cnf.variable((instance, attribute, lower, upper))
-
     def selector(self, index: int) -> int:
         """The selector variable of candidate import *index*."""
         return self._selector_vars[index]
@@ -287,9 +248,12 @@ class ExtensionSearchSpace:
                 literals.append(-self._selector_vars[index])
         return literals
 
-    def _build(self) -> None:
+    def _add_selectors(self, first: int) -> None:
+        """Selector variables and prerequisite implications for the
+        candidates from index *first* on."""
         targets = {cf.name: cf.target for cf in self.specification.copy_functions}
-        for index, candidate in enumerate(self.candidates):
+        for index in range(first, len(self.candidates)):
+            candidate = self.candidates[index]
             self._selector_vars.append(self.cnf.variable(("sel", index)))
             self._selector_by_tid[
                 (targets[candidate.copy_function], candidate.new_tid())
@@ -297,215 +261,15 @@ class ExtensionSearchSpace:
         # chained imports: a derived candidate is only importable once the
         # import creating its source tuple is present
         for derived, prerequisite in self.prerequisites.items():
-            self.cnf.add_clause(
-                [-self._selector_vars[derived], self._selector_vars[prerequisite]]
-            )
-        for name, instance in self.full.instances.items():
-            self._encode_instance(name, instance)
-        for name in self.full.instances:
-            self._encode_denial_constraints(name)
-        self._encode_copy_functions()
-        for name, instance in self.full.instances.items():
-            self._encode_maximality(name, instance)
-
-    def _encode_instance(self, name: str, instance: TemporalInstance) -> None:
-        cnf = self.cnf
-        for attribute in instance.schema.attributes:
-            order = instance.order(attribute)
-            for eid in instance.entities():
-                block = instance.entity_tids(eid)
-                for lower, upper in combinations(block, 2):
-                    forward = self._pair(name, attribute, lower, upper)
-                    backward = self._pair(name, attribute, upper, lower)
-                    # antisymmetry holds for any total order of the full
-                    # block, present or not — assert it outright
-                    cnf.add_clause([-forward, -backward])
-                    # totality only binds pairs of *present* tuples
-                    cnf.add_clause(
-                        self._guards(name, (lower, upper)) + [forward, backward]
-                    )
-                # transitivity also survives absent tuples (any total order
-                # of the full block satisfies it) and sharpens propagation
-                for a in block:
-                    for b in block:
-                        for c in block:
-                            if len({a, b, c}) != 3:
-                                continue
-                            cnf.add_clause(
-                                [
-                                    -self._pair(name, attribute, a, b),
-                                    -self._pair(name, attribute, b, c),
-                                    self._pair(name, attribute, a, c),
-                                ]
-                            )
-            # the given partial currency order (base tuples only) is forced
-            for lower, upper in order.pairs():
-                cnf.add_clause([self._pair(name, attribute, lower, upper)])
-
-    def _same_entity(
-        self, instance: TemporalInstance, lower: Hashable, upper: Hashable
-    ) -> bool:
-        return (
-            lower != upper
-            and instance.tuple_by_tid(lower).eid == instance.tuple_by_tid(upper).eid
-        )
-
-    def _encode_denial_constraints(self, name: str) -> None:
-        for constraint in self.full.constraints_for(name):
-            self._encode_denial_constraint(name, constraint)
-
-    def _encode_denial_constraint(
-        self,
-        name: str,
-        constraint: DenialConstraint,
-        only_tids: Optional[Set[Hashable]] = None,
-    ) -> None:
-        """Gated groundings of *constraint* over the maximal extension.
-
-        With *only_tids*, only groundings whose support touches one of the
-        given tuple ids are emitted — the delta pass of
-        :meth:`extend_with_tuples`, which must not duplicate the groundings
-        already encoded over the previous tuple universe.
-        """
-        instance = self.full.instance(name)
-        for implication, support in constraint.grounded_implications_with_support(
-            instance
-        ):
-            if only_tids is not None and only_tids.isdisjoint(support):
-                continue
-            guards = self._guards(name, support)
-            premises: List[int] = []
-            vacuous = False
-            for attribute, lower, upper in implication.premises:
-                if not self._same_entity(instance, lower, upper):
-                    vacuous = True  # the premise can never hold
-                    break
-                premises.append(-self._pair(name, attribute, lower, upper))
-            if vacuous:
-                continue
-            head = implication.head
-            if head is None:
-                self.cnf.add_clause(guards + premises)
-                continue
-            attribute, lower, upper = head
-            if not self._same_entity(instance, lower, upper):
-                # the head can never be satisfied: the premises must fail
-                self.cnf.add_clause(guards + premises)
-            else:
+            if derived >= first:
                 self.cnf.add_clause(
-                    guards + premises + [self._pair(name, attribute, lower, upper)]
+                    [-self._selector_vars[derived], self._selector_vars[prerequisite]]
                 )
 
-    def _encode_copy_functions(
-        self, only_new: Optional[Dict[str, Set[Hashable]]] = None
-    ) -> None:
-        """≺-compatibility implications of the maximal extension.
-
-        With *only_new* (instance -> freshly materialised tuple ids), only
-        implications touching a fresh tuple are emitted — fresh *base* tuples
-        are unmapped and contribute nothing, but fresh *candidate-import*
-        tuples extend the copy-function mappings of the maximal extension and
-        their implications must land on the warm solver.
-        """
-        for copy_function in self.full.copy_functions:
-            target = self.full.instance(copy_function.target)
-            source = self.full.instance(copy_function.source)
-            src_new: Set[Hashable] = set()
-            tgt_new: Set[Hashable] = set()
-            if only_new is not None:
-                src_new = only_new.get(copy_function.source, set())
-                tgt_new = only_new.get(copy_function.target, set())
-                if not src_new and not tgt_new:
-                    continue
-            # compatibility_implications yields only distinct same-entity
-            # source pairs and distinct same-entity target pairs
-            for (src_attr, s1, s2), (tgt_attr, t1, t2) in copy_function.compatibility_implications(
-                target, source
-            ):
-                if only_new is not None and not (
-                    s1 in src_new or s2 in src_new or t1 in tgt_new or t2 in tgt_new
-                ):
-                    continue
-                guards = self._guards(copy_function.source, (s1, s2)) + self._guards(
-                    copy_function.target, (t1, t2)
-                )
-                self.cnf.add_clause(
-                    guards
-                    + [
-                        -self._pair(copy_function.source, src_attr, s1, s2),
-                        self._pair(copy_function.target, tgt_attr, t1, t2),
-                    ]
-                )
-
-    def _encode_maximality(self, name: str, instance: TemporalInstance) -> None:
-        """``max(t)`` ⟺ t is the ≺-greatest *present* tuple of its block.
-
-        Encoded as ``max(t) ⟹ present(t)``, ``max(t) ∧ present(u) ⟹ u ≺ t``
-        and one at-least-one clause per (entity, attribute); with totality and
-        antisymmetry on present tuples this pins exactly the true maximum, so
-        the maximality variables are fully determined by (selectors, order)
-        and exactly one maximality variable holds per (entity, attribute).
-
-        On top, one *value* variable per (entity, attribute, value) is defined
-        as the disjunction of the column's maximality variables carrying that
-        value: ``max(t) ⟹ val(t[A])`` and ``val(v) ⟹ ⋁_{t[A]=v} max(t)``.
-        The value variables are therefore likewise fully determined, exactly
-        one holds per column, and projecting model enumeration onto them
-        yields each distinct current *value* signature once, no matter how
-        many value-equal maximal tuples realise it.
-        """
-        value_slots: List[Tuple[Any, List[Tuple[str, List[Tuple[Any, int]]]]]] = []
-        for eid in instance.entities():
-            value_slots.append(self._encode_block_maximality(name, instance, eid, 0))
-        self._value_slots[name] = value_slots
-
-    def _encode_block_maximality(
-        self, name: str, instance: TemporalInstance, eid: Hashable, generation: int
-    ) -> Tuple[Any, List[Tuple[str, List[Tuple[Any, int]]]]]:
-        """Encode one (entity, attribute)-block's maximality/value columns.
-
-        *generation* versions the variable names: generation 0 is the
-        build-time encoding, and :meth:`extend_with_tuples` re-encodes a grown
-        block under the next generation (clauses cannot be retracted, so the
-        old columns are abandoned in place — they stay satisfiable, since the
-        block's ≺-greatest present *old* tuple can carry the old maximality
-        variable, and nothing projects onto them any more).  Returns the
-        block's ``_value_slots`` entry.
-        """
-        cnf = self.cnf
-        suffix: Tuple[Any, ...] = (generation,) if generation else ()
-        value_per_attribute: List[Tuple[str, List[Tuple[Any, int]]]] = []
-        block = instance.entity_tids(eid)
-        for attribute in instance.schema.attributes:
-            column: List[int] = []
-            by_value: Dict[Any, List[int]] = {}
-            for tid in block:
-                max_var = cnf.variable(("max", name, eid, tid, attribute) + suffix)
-                column.append(max_var)
-                by_value.setdefault(
-                    instance.tuple_by_tid(tid)[attribute], []
-                ).append(max_var)
-                index = self._selector_by_tid.get((name, tid))
-                if index is not None:  # an absent tuple is never maximal
-                    cnf.add_clause([-max_var, self._selector_vars[index]])
-                for other in block:
-                    if other == tid:
-                        continue
-                    cnf.add_clause(
-                        [-max_var]
-                        + self._guards(name, (other,))
-                        + [self._pair(name, attribute, other, tid)]
-                    )
-            cnf.add_clause(column)
-            value_column: List[Tuple[Any, int]] = []
-            for value, max_vars in by_value.items():
-                value_var = cnf.variable(("val", name, eid, attribute, value) + suffix)
-                value_column.append((value, value_var))
-                for max_var in max_vars:
-                    cnf.add_clause([-max_var, value_var])
-                cnf.add_clause([-value_var] + max_vars)
-            value_per_attribute.append((attribute, value_column))
-        return (eid, value_per_attribute)
+    def _build(self) -> None:
+        self._add_selectors(0)
+        super()._build()
+        self.encode_value_columns(self.full.instances)
 
     # ------------------------------------------------------------------ #
     # Cardinality (sequential counter over the selectors)
@@ -547,39 +311,6 @@ class ExtensionSearchSpace:
             return None
         self._ensure_counter()
         return -self._count_var(len(self._selector_vars), max_imports + 1)
-
-    # ------------------------------------------------------------------ #
-    # The shared solver
-    # ------------------------------------------------------------------ #
-    @property
-    def solver(self) -> SolverBackend:
-        """The incremental solver, synced with every clause of ``self.cnf``."""
-        if self._solver is None:
-            # reprolint: allow(R4) — the lazy factory behind the space's own warm solver
-            self._solver = create_solver(self.backend, self.cnf.num_variables)
-        solver = self._solver
-        solver.ensure_vars(self.cnf.num_variables)
-        clauses = self.cnf.clauses
-        while self._fed_clauses < len(clauses):
-            solver.add_clause(clauses[self._fed_clauses])
-            self._fed_clauses += 1
-        return solver
-
-    def _deactivations(self) -> List[int]:
-        return [-literal for literal in self._activation_literals]
-
-    def _new_activation(self) -> int:
-        self._activation_count += 1
-        literal = self.cnf.variable(("__act__", self._activation_count))
-        self._activation_literals.append(literal)
-        return literal
-
-    def _retire_activation(self, literal: int) -> None:
-        """Permanently disable a finished enumeration pass's blocking clauses
-        so later solve calls need not assume its negation."""
-        if literal in self._activation_literals:
-            self._activation_literals.remove(literal)
-            self.solver.add_clause([-literal])
 
     # ------------------------------------------------------------------ #
     # Probes
@@ -642,54 +373,6 @@ class ExtensionSearchSpace:
         return imports, bound is not None and bound in core
 
     # ------------------------------------------------------------------ #
-    # Base-specification probes (the session facade's CPS/COP/DCIP backend)
-    # ------------------------------------------------------------------ #
-    def _pair_literal(self, pair: Tuple[str, str, Hashable, Hashable], positive: bool = True) -> int:
-        if not self.cnf.has_variable(pair):
-            # allocating a fresh unconstrained variable would make probes
-            # vacuously satisfiable — reject caller mistakes outright
-            raise SolverError(f"currency pair {pair!r} is not part of the encoding")
-        return self.cnf.literal(pair, positive)
-
-    def base_probe(
-        self, pairs: Iterable[Tuple[str, str, Hashable, Hashable]] = ()
-    ) -> bool:
-        """Whether a consistent completion of the *base* specification (every
-        selector false) satisfies all currency *pairs*.
-
-        This is :meth:`CompletionEncoder.satisfiable` on the shared extension
-        solver: once a preservation question has built the space, the base
-        problems (CPS, COP's per-pair checks, DCIP's maximality probes) run
-        warm on it instead of encoding the specification a second time.
-        """
-        assumptions = (
-            self._deactivations()
-            + self._selection_literals((), exact=True)
-            + [self._pair_literal(pair) for pair in pairs]
-        )
-        return self.solver.solve(assumptions) is not None
-
-    def base_excludes_some_pair(
-        self, pairs: Sequence[Tuple[str, str, Hashable, Hashable]]
-    ) -> bool:
-        """Whether some consistent completion of the base specification misses
-        at least one of *pairs* — COP's complement question, as one gated
-        clause on the warm solver (retired afterwards)."""
-        literals = [-self._pair_literal(pair) for pair in pairs]
-        activation = self._new_activation()
-        self.cnf.add_clause([-activation] + literals)
-        solver = self.solver  # syncs the gated clause
-        try:
-            assumptions = (
-                [activation]
-                + [-o for o in self._activation_literals if o != activation]
-                + self._selection_literals((), exact=True)
-            )
-            return solver.solve(assumptions) is not None
-        finally:
-            self._retire_activation(activation)
-
-    # ------------------------------------------------------------------ #
     # Incremental mutation (the session facade's dependency map)
     # ------------------------------------------------------------------ #
     def _invalidate_derived_caches(self) -> None:
@@ -698,29 +381,16 @@ class ExtensionSearchSpace:
         self._maximal_cache = None
         self._selection_cache = None
 
-    def add_order(
-        self, instance_name: str, attribute: str, lower: Hashable, upper: Hashable
-    ) -> None:
-        """Extend the encoding after ``lower ≺_attribute upper`` was added to
-        the base specification (one additive unit clause; the candidate
-        closure is order-independent, so the selector universe is unchanged).
-        """
-        instance = self.full.instance(instance_name)
-        if not instance.precedes(attribute, lower, upper):
-            instance.add_order(attribute, lower, upper)
-        self.cnf.add_clause([self._pair_literal((instance_name, attribute, lower, upper))])
-        self._invalidate_derived_caches()
+    # the candidate closure is order- and denial-independent, so both
+    # mutations are the encoder's additive deltas over the maximal extension
+    add_order = CompletionEncoder.add_order_pair
+    add_denial = CompletionEncoder.add_denial_constraint
 
-    def add_denial(
-        self, instance_name: str, constraint: DenialConstraint
-    ) -> None:
-        """Extend the encoding after *constraint* was attached to the named
-        instance.  Additive: the constraint's groundings over the maximal
-        extension are gated on their supports exactly as at build time; no
-        existing clause, selector or maximality/value variable changes."""
-        self.full.add_constraint(instance_name, constraint)
-        self._encode_denial_constraint(instance_name, constraint)
-        self._invalidate_derived_caches()
+    def add_tuples_incremental(
+        self, instance_name: str, tids: Sequence[Hashable]
+    ) -> bool:
+        """The space's tuple delta, :meth:`extend_with_tuples`."""
+        return self.extend_with_tuples(instance_name, tids)
 
     def extend_with_tuples(self, instance_name: str, tids: Iterable[Hashable]) -> bool:
         """Try to extend the warm encoding after tuples were added to
@@ -734,21 +404,13 @@ class ExtensionSearchSpace:
         other shape change (reordered candidates, rewired prerequisites)
         falls back to rebuild.
 
-        On success the encoding grows strictly additively, mirroring
-        :meth:`~repro.solvers.order_encoding.CompletionEncoder.add_tuples_incremental`:
-
-        * one selector variable and prerequisite implication per appended
-          candidate (the sequential counter, if built, is topped up lazily by
-          :meth:`_ensure_counter`);
-        * per grown entity block, pair variables, antisymmetry, guarded
-          totality and transitivity for exactly the pairs/triples involving a
-          fresh tuple, plus unit clauses for any base order pairs that touch
-          one (fresh tuples normally arrive unordered);
-        * denial groundings and copy implications restricted to supports
-          touching a fresh tuple (``only_tids``/``only_new``);
-        * a fresh-generation maximality/value re-encode of each grown block
-          (:meth:`_encode_block_maximality`), replacing its ``_value_slots``
-          entry so enumeration projects onto the new columns.
+        On success the encoding grows strictly additively: one selector
+        variable and prerequisite implication per appended candidate (the
+        sequential counter, if built, is topped up lazily by
+        :meth:`_ensure_counter`), then the encoder's delta for every fresh
+        tuple of the maximal extension — the explicit adds plus every newly
+        admitted candidate import
+        (:meth:`~repro.solvers.order_encoding.CompletionEncoder._encode_fresh_tuples`).
         """
         new_tids = set(tids)
         new_closure = candidate_closure(
@@ -769,23 +431,8 @@ class ExtensionSearchSpace:
         self.candidates = new_candidates
         self.prerequisites = new_prerequisites
         self.full_extension = new_closure.extension
-        self.full = self.full_extension.specification
         self.has_chained_candidates = bool(self.prerequisites)
-        # 1. selectors + prerequisite implications for appended candidates
-        targets = {cf.name: cf.target for cf in self.specification.copy_functions}
-        for index in range(n_old, len(new_candidates)):
-            candidate = new_candidates[index]
-            self._selector_vars.append(self.cnf.variable(("sel", index)))
-            self._selector_by_tid[
-                (targets[candidate.copy_function], candidate.new_tid())
-            ] = index
-        for derived, prerequisite in new_prerequisites.items():
-            if derived >= n_old:
-                self.cnf.add_clause(
-                    [-self._selector_vars[derived], self._selector_vars[prerequisite]]
-                )
-        # 2. the fresh tuples of the maximal extension: the explicit adds plus
-        #    every newly admitted candidate import
+        self._add_selectors(n_old)
         fresh: Dict[str, Set[Hashable]] = {}
         for name, instance in self.full.instances.items():
             added = set(instance.tids()) - old_tids[name]
@@ -793,74 +440,7 @@ class ExtensionSearchSpace:
                 fresh[name] = added
         if new_tids - fresh.get(instance_name, set()):
             return False  # the "new" tids were already encoded: stale caller
-        cnf = self.cnf
-        for name, added in fresh.items():
-            instance = self.full.instance(name)
-            added_by_eid: Dict[Any, List[Hashable]] = {}
-            for tid in added:
-                added_by_eid.setdefault(instance.tuple_by_tid(tid).eid, []).append(tid)
-            # 3. order scaffolding for the grown blocks, one fresh tuple at a
-            #    time (others = block minus the still-pending fresh tuples, so
-            #    each new pair/triple is emitted exactly once)
-            for attribute in instance.schema.attributes:
-                for eid, new_in_block in added_by_eid.items():
-                    block = list(instance.entity_tids(eid))
-                    pending = set(new_in_block)
-                    for tid in [t for t in block if t in pending]:
-                        pending.discard(tid)
-                        others = [t for t in block if t != tid and t not in pending]
-                        for other in others:
-                            forward = self._pair(name, attribute, other, tid)
-                            backward = self._pair(name, attribute, tid, other)
-                            cnf.add_clause([-forward, -backward])
-                            cnf.add_clause(
-                                self._guards(name, (other, tid)) + [forward, backward]
-                            )
-                        for a in others:
-                            for b in others:
-                                if a == b:
-                                    continue
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, a, b),
-                                        -self._pair(name, attribute, b, tid),
-                                        self._pair(name, attribute, a, tid),
-                                    ]
-                                )
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, a, tid),
-                                        -self._pair(name, attribute, tid, b),
-                                        self._pair(name, attribute, a, b),
-                                    ]
-                                )
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, tid, a),
-                                        -self._pair(name, attribute, a, b),
-                                        self._pair(name, attribute, tid, b),
-                                    ]
-                                )
-                for lower, upper in instance.order(attribute).pairs():
-                    if lower in added or upper in added:
-                        cnf.add_clause([self._pair(name, attribute, lower, upper)])
-            # 4. denial groundings whose support touches a fresh tuple
-            for constraint in self.full.constraints_for(name):
-                self._encode_denial_constraint(name, constraint, only_tids=added)
-            # 5. fresh-generation maximality/value columns per grown block
-            slots = self._value_slots[name]
-            for eid in added_by_eid:
-                generation = self._maximality_generation.get((name, eid), 0) + 1
-                self._maximality_generation[(name, eid)] = generation
-                entry = self._encode_block_maximality(name, instance, eid, generation)
-                for position, (slot_eid, _per_attribute) in enumerate(slots):
-                    if slot_eid == eid:
-                        slots[position] = entry
-                        break
-                else:
-                    slots.append(entry)
-        # 6. copy implications touching a fresh (candidate-import) tuple
-        self._encode_copy_functions(only_new=fresh)
+        self._encode_fresh_tuples(fresh)
         self._invalidate_derived_caches()
         return True
 
@@ -917,16 +497,10 @@ class ExtensionSearchSpace:
                 fixed.append(bound)
         activation = self._new_activation()
         solver = self.solver
-        solver.ensure_vars(self.cnf.num_variables)
         produced = 0
         try:
             while True:
-                assumptions = (
-                    [activation]
-                    + [-o for o in self._activation_literals if o != activation]
-                    + fixed
-                )
-                model = self.solver.solve(assumptions)
+                model = self.solver.solve(self._pass_assumptions(activation) + fixed)
                 if model is None:
                     if collected is not None:
                         self._selection_cache = collected
@@ -984,7 +558,6 @@ class ExtensionSearchSpace:
             return list(self._maximal_cache)
         activation = self._new_activation()
         solver = self.solver
-        solver.ensure_vars(self.cnf.num_variables)
         maximal: List[Selection] = []
         universe = range(len(self._selector_vars))
 
@@ -994,10 +567,7 @@ class ExtensionSearchSpace:
 
         try:
             while True:
-                assumptions = [activation] + [
-                    -o for o in self._activation_literals if o != activation
-                ]
-                model = self.solver.solve(assumptions)
+                model = self.solver.solve(self._pass_assumptions(activation))
                 if model is None:
                     return complete(maximal)
                 chosen = set(
@@ -1063,84 +633,8 @@ class ExtensionSearchSpace:
         )
 
     # ------------------------------------------------------------------ #
-    # Current databases and certain answers per extension
+    # Certain answers per extension
     # ------------------------------------------------------------------ #
-    def current_databases(
-        self,
-        selection: Sequence[int] = (),
-        relations: Optional[Iterable[str]] = None,
-        limit: Optional[int] = None,
-    ) -> Iterator[Dict[str, NormalInstance]]:
-        """The realizable current databases of ``S^selection`` (deduplicated
-        by value), mirroring
-        :meth:`~repro.reasoning.current_db.CurrentDatabaseEnumerator.databases`
-        but on the shared extension solver: the selection is fixed through
-        *exact* selector assumptions and blocking clauses cover the **value**
-        variables of *relations* only, gated behind this pass's activation
-        literal — distinct maximal tuples carrying equal values realise the
-        same value signature and are blocked (and yielded) once."""
-        names = list(relations) if relations is not None else list(self.full.instances)
-        for name in names:
-            self.full.instance(name)  # validates the name
-        fixed = self._selection_literals(selection, exact=True)
-        projection = [
-            value_var
-            for name in names
-            for _eid, per_attribute in self._value_slots[name]
-            for _attribute, value_column in per_attribute
-            for _value, value_var in value_column
-        ]
-        activation = self._new_activation()
-        solver = self.solver
-        solver.ensure_vars(self.cnf.num_variables)
-        produced = 0
-        try:
-            while True:
-                assumptions = (
-                    [activation]
-                    + [-o for o in self._activation_literals if o != activation]
-                    + fixed
-                )
-                model = self.solver.solve(assumptions)
-                if model is None:
-                    return
-                blocking = [-activation] + [
-                    -var if model.get(var, False) else var for var in projection
-                ]
-                database = self._decode(model, names)
-                if not solver.add_clause(blocking):
-                    return
-                yield database
-                produced += 1
-                if limit is not None and produced >= limit:
-                    return
-        finally:
-            self._retire_activation(activation)
-
-    def _decode(self, model: Model, names: Sequence[str]) -> Dict[str, NormalInstance]:
-        database: Dict[str, NormalInstance] = {}
-        for name in names:
-            instance = self.full.instance(name)
-            schema = instance.schema
-            rows: List[Tuple[Any, Dict[str, Any]]] = []
-            for eid, per_attribute in self._value_slots[name]:
-                values: Dict[str, Any] = {schema.eid: eid}
-                for attribute, value_column in per_attribute:
-                    chosen_value: Any = None
-                    found = False
-                    for value, value_var in value_column:
-                        if model.get(value_var, False):
-                            chosen_value = value
-                            found = True
-                            break
-                    if not found:  # pragma: no cover - defensive
-                        base = instance.entity_block(eid)[0]
-                        chosen_value = base[attribute]
-                    values[attribute] = chosen_value
-                rows.append((("lst", eid), values))
-            database[name] = self._instance_cache.intern_rows(schema, rows)
-        return database
-
     def certain_answers(
         self, engine: QueryEngine, selection: Sequence[int] = ()
     ) -> Optional[FrozenSet]:
@@ -1217,39 +711,6 @@ class ExtensionSearchSpace:
         if self._solver is not None:
             info["solver"] = self._solver.stats()
         return info
-
-    # ------------------------------------------------------------------ #
-    # Pickling (warm-state snapshots)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> Dict[str, Any]:
-        """Degrade gracefully for engines whose warm state cannot pickle.
-
-        Backends with ``supports_snapshot()`` travel with the space (PR 8).
-        Otherwise the engine is dropped and the feed cursor reset: the next
-        probe rebuilds a cold solver from ``self.cnf``.  Dropping the engine
-        also drops pass-blocking clauses that were fed straight to it, which
-        is sound — they are all guarded by activation literals that every
-        later solve assumes negative (:meth:`_deactivations`).
-        """
-        state = dict(self.__dict__)
-        solver = state.get("_solver")
-        if solver is not None and not solver.supports_snapshot():
-            state["_solver"] = None
-            state["_fed_clauses"] = 0
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        # spaces pickled before the backend seam existed default to the
-        # reference engine
-        if "backend" not in self.__dict__:
-            self.backend = "reference"
-        # spaces pickled before the tuple-delta seam carry the boolean
-        # counter flag; the chained counter they built covers every selector
-        if "_counter_size" not in self.__dict__:
-            built = self.__dict__.pop("_counter_built", False)
-            self._counter_size = len(self._selector_vars) if built else 0
-        self.__dict__.setdefault("_maximality_generation", {})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,7 +14,7 @@ Index reuse composes with this cache: the per-column hash indexes live on the
 :class:`~repro.core.instance.NormalInstance` objects themselves (see the index
 lifecycle notes there), so callers that share instance objects across
 databases — e.g. the decode cache of
-:class:`~repro.reasoning.current_db.CurrentDatabaseEnumerator` — reuse both
+:meth:`~repro.solvers.order_encoding.CompletionEncoder.current_databases` — reuse both
 the indexes and, via this class, whole answer sets.
 """
 

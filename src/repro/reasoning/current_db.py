@@ -3,20 +3,22 @@
 The current instance ``LST(D^c)`` of a consistent completion is determined by
 the choice, per (instance, entity, attribute), of the *maximal* tuple of the
 entity block.  To enumerate the distinct current databases of ``Mod(S)``
-without enumerating all completions, we augment the completion encoding with
-one auxiliary Boolean "maximality" variable per candidate tuple and enumerate
-SAT models *projected* onto those variables — each projected model is one
-realizable current database.
+without enumerating all completions, the completion encoding carries *value
+columns* — one maximality variable per tuple and one value variable per
+distinct value of each (entity, attribute) — and SAT models are enumerated
+*projected* onto the value variables, so each projected model is one
+realizable current database
+(:meth:`~repro.solvers.order_encoding.CompletionEncoder.current_databases`).
 
-This is the optimisation called "sink-candidate enumeration" in DESIGN.md and
-is ablated against full completion enumeration in the benchmark suite.
+:class:`CurrentDatabaseEnumerator` is the projection of that enumeration onto
+a fixed set of relations.  The session facade keeps one per relation set,
+all sharing its encoder, whose tuple deltas keep the columns current.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.core.completion import CurrentDatabaseCache
 from repro.core.instance import NormalInstance
 from repro.core.specification import Specification
 from repro.exceptions import SolverError
@@ -24,8 +26,6 @@ from repro.solvers.backend import resolve_backend
 from repro.solvers.order_encoding import CompletionEncoder
 
 __all__ = ["CurrentDatabaseEnumerator"]
-
-MaxVariable = Tuple[str, str, Hashable, Hashable, str]  # ("max", instance, eid, tid, attribute)
 
 
 class CurrentDatabaseEnumerator:
@@ -38,6 +38,9 @@ class CurrentDatabaseEnumerator:
     relations:
         Instance names whose current instances are needed (e.g. the relations
         a query refers to).  Defaults to all instances.
+    encoder:
+        A warm encoder of ``S`` to enumerate on (the session facade shares
+        one); a fresh one is built when omitted.
     """
 
     def __init__(
@@ -45,7 +48,6 @@ class CurrentDatabaseEnumerator:
         specification: Specification,
         relations: Optional[Iterable[str]] = None,
         encoder: Optional[CompletionEncoder] = None,
-        cache: Optional[CurrentDatabaseCache] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.specification = specification
@@ -54,10 +56,6 @@ class CurrentDatabaseEnumerator:
         )
         for name in self.relations:
             specification.instance(name)  # validates the name
-        # *encoder* and *cache* let warm callers (the session facade) share
-        # one completion encoding — and one interned-instance store — across
-        # several enumerators; the encoder's ``maximality_encoded`` registry
-        # keeps overlapping relation sets from re-encoding maximality.
         if (
             encoder is not None
             # reprolint: allow(R2) — identity fast path in front of the structural check below
@@ -77,133 +75,13 @@ class CurrentDatabaseEnumerator:
             # reprolint: allow(R4) — cold-start fallback for standalone (non-session) use
             encoder = CompletionEncoder(specification, backend=backend)
         self.encoder = encoder
-        self._max_variables: List[MaxVariable] = []
-        # Decoded instances are interned by value so that models inducing the
-        # same current instance share one NormalInstance object — and with it
-        # the lazily built per-column indexes of the query evaluator.  Yielded
-        # databases share these instances; callers must not mutate them.
-        self._instance_cache = cache if cache is not None else CurrentDatabaseCache()
-        self._add_maximality_variables()
-        # Blocking clauses of one enumeration pass are gated behind a fresh
-        # activation literal per pass, so the encoder's incremental solver —
-        # and everything it has learnt — is shared across passes without one
-        # pass's blocking clauses leaking into another's.
-        self._activation_literals: List[int] = []
+        encoder.encode_value_columns(self.relations)
 
-    # ------------------------------------------------------------------ #
-    def _max_name(self, instance: str, eid: Any, tid: Hashable, attribute: str) -> MaxVariable:
-        return ("max", instance, eid, tid, attribute)
-
-    def _add_maximality_variables(self) -> None:
-        cnf = self.encoder.cnf
-        for name in self.relations:
-            instance = self.specification.instance(name)
-            if name in self.encoder.maximality_encoded:
-                # another enumerator on this encoder already added the
-                # clauses; only the projection variable names are needed
-                for eid in instance.entities():
-                    for attribute in instance.schema.attributes:
-                        for tid in instance.entity_tids(eid):
-                            self._max_variables.append(
-                                self._max_name(name, eid, tid, attribute)
-                            )
-                continue
-            self.encoder.maximality_encoded.add(name)
-            for eid in instance.entities():
-                block = instance.entity_tids(eid)
-                for attribute in instance.schema.attributes:
-                    for tid in block:
-                        max_var = self._max_name(name, eid, tid, attribute)
-                        self._max_variables.append(max_var)
-                        others = [other for other in block if other != tid]
-                        if not others:
-                            cnf.add_unit(max_var, True)
-                            continue
-                        pair_vars = [
-                            self.encoder.pair_name(name, attribute, other, tid)
-                            for other in others
-                        ]
-                        # max ↔ ∧_other (other ≺ tid)
-                        for pair in pair_vars:
-                            cnf.add_named_clause([(max_var, False), (pair, True)])
-                        cnf.add_named_clause(
-                            [(pair, False) for pair in pair_vars] + [(max_var, True)]
-                        )
-
-    # ------------------------------------------------------------------ #
-    def _decode(self, model: Dict[int, bool]) -> Dict[str, NormalInstance]:
-        named = self.encoder.cnf.decode_model(model)
-        database: Dict[str, NormalInstance] = {}
-        for name in self.relations:
-            instance = self.specification.instance(name)
-            rows: List[Tuple[Any, Dict[str, Any]]] = []
-            for eid in instance.entities():
-                values: Dict[str, Any] = {instance.schema.eid: eid}
-                for attribute in instance.schema.attributes:
-                    chosen: Optional[Hashable] = None
-                    for tid in instance.entity_tids(eid):
-                        if named.get(self._max_name(name, eid, tid, attribute), False):
-                            chosen = tid
-                            break
-                    if chosen is None:  # pragma: no cover - defensive
-                        chosen = instance.entity_tids(eid)[0]
-                    values[attribute] = instance.tuple_by_tid(chosen)[attribute]
-                rows.append((("lst", eid), values))
-            database[name] = self._instance_cache.intern_rows(instance.schema, rows)
-        return database
-
-    # ------------------------------------------------------------------ #
     def databases(self, limit: Optional[int] = None) -> Iterator[Dict[str, NormalInstance]]:
-        """Enumerate realizable current databases (deduplicated by value).
-
-        Enumeration runs on the encoder's shared incremental solver: blocking
-        clauses cover the maximality (projection) variables only and are gated
-        behind a per-pass activation literal, so the learnt-clause database
-        stays warm both between successive models and between enumeration
-        passes.  Each solve assumes this pass's activation literal and the
-        negation of every other pass's, so concurrently consumed generators
-        never see each other's blocking clauses.
-        """
-        cnf = self.encoder.cnf
-        projection = [cnf.variable(v) for v in self._max_variables]
-        solver = self.encoder.solver
-        # drawn from the encoder so enumerators sharing one encoder never
-        # collide on activation variables
-        activation = self.encoder.new_activation()
-        self._activation_literals.append(activation)
-        solver.ensure_vars(cnf.num_variables)
-        seen = set()
-        produced = 0
-        try:
-            while True:
-                # recomputed per model: passes started after this one must be
-                # deactivated too
-                assumptions = [activation] + [
-                    -other for other in self._activation_literals if other != activation
-                ]
-                model = solver.solve(assumptions)
-                if model is None:
-                    return
-                blocking = [-activation] + [
-                    -variable if model.get(variable, False) else variable
-                    for variable in projection
-                ]
-                database = self._decode(model)
-                if not solver.add_clause(blocking):
-                    return
-                key = tuple(sorted((name, database[name].value_set()) for name in self.relations))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield database
-                produced += 1
-                if limit is not None and produced >= limit:
-                    return
-        finally:
-            # a finished (or abandoned) pass permanently disables its blocking
-            # clauses, so later solve calls need not assume its negation
-            self._activation_literals.remove(activation)
-            self.encoder.retire_activation(activation)
+        """Enumerate realizable current databases (deduplicated by value) on
+        the encoder's shared incremental solver; yielded databases share
+        interned instances, so callers must not mutate them."""
+        return self.encoder.current_databases(relations=self.relations, limit=limit)
 
     def is_empty(self) -> bool:
         """Whether ``Mod(S)`` is empty (no realizable current database)."""

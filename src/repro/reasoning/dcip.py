@@ -14,9 +14,8 @@ current instance is unique iff every *realizable* maximal tuple of every cell
 carries the same value.  Realizability of "tuple t is maximal for (e, A)" is
 one assumption-based SAT call on the session's warm solver —
 :meth:`~repro.session.ReasoningSession.deterministic` holds the loop;
-:func:`is_deterministic` is the thin back-compat wrapper.
-:func:`realizable_maxima` is kept as a standalone utility for callers that
-manage their own encoder.
+:func:`is_deterministic` and :func:`realizable_maxima` are the thin
+back-compat wrappers.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from __future__ import annotations
 from typing import Hashable, List, Optional
 
 from repro.core.specification import Specification
-from repro.reasoning.chase import chase_certain_orders
 from repro.session.session import DCIP_METHODS, ReasoningSession
-from repro.solvers.order_encoding import CompletionEncoder
 
 __all__ = ["is_deterministic", "realizable_maxima"]
 
@@ -38,42 +35,12 @@ def realizable_maxima(
     instance_name: str,
     eid: Hashable,
     attribute: str,
-    encoder: Optional[CompletionEncoder] = None,
-    certain=None,
 ) -> List[Hashable]:
     """Tuple ids of the entity block that are maximal for *attribute* in at
-    least one consistent completion.
-
-    Each check is one *assumption-based* SAT call: "tuple t is maximal" is the
-    conjunction of the pair variables ``other ≺_attribute t``, which is passed
-    as assumptions to the encoder's incremental solver instead of re-encoding
-    the specification per candidate.  Callers probing many cells pass a
-    shared *encoder* (and optionally the pre-computed chase result *certain*)
-    so clauses learnt on one cell prune the search on every later cell; the
-    session facade's :meth:`~repro.session.ReasoningSession.realizable_maxima`
-    does exactly that against its own substrate.
-    """
-    instance = specification.instance(instance_name)
-    block = instance.entity_tids(eid)
-    if certain is None:
-        certain = chase_certain_orders(specification)
-    if encoder is None:
-        # reprolint: allow(R4) — cold-start fallback for standalone (non-session) use
-        encoder = CompletionEncoder(specification)
-    maxima: List[Hashable] = []
-    for tid in block:
-        # sound pruning: a tuple below another one in every completion can
-        # never be maximal
-        if certain.consistent and any(
-            certain.certain(instance_name, attribute, tid, other) for other in block if other != tid
-        ):
-            continue
-        assumptions = [
-            (instance_name, attribute, other, tid) for other in block if other != tid
-        ]
-        if encoder.satisfiable(assumptions):
-            maxima.append(tid)
-    return maxima
+    least one consistent completion (one assumption probe per tuple on a
+    session's warm solver; see
+    :meth:`~repro.session.ReasoningSession.realizable_maxima`)."""
+    return ReasoningSession(specification).realizable_maxima(instance_name, eid, attribute)
 
 
 def is_deterministic(

@@ -5,12 +5,14 @@ key*.  The key doubles as the supervisor lane, so all traffic for one logical
 session flows FIFO through one worker — the invariant that makes worker-side
 warm state and mutation ordering correct.
 
-Interning follows the ``space_for`` convention, with one serving-specific
-twist: a **structurally equal** specification joins an existing entry *only
-while that entry is unmutated*.  Once a session has (or is applying) a
-mutation, its logical state has diverged from what any structural twin
-describes, so twins match by object identity only and a fresh twin gets its
-own session.  The caller's specification object is thus a *handle*: the
+Interning follows the ``space_for`` convention, with two serving-specific
+twists.  A **structurally equal** specification's *questions* join an
+existing entry *only while that entry is unmutated*: once a session has (or
+is applying) a mutation, its logical state has diverged from what any
+structural twin describes.  And a *mutation* joins only the entry whose
+specification is the submitted object itself, so a twin's first write opens
+a session of its own instead of leaking into the twin's.  Identity is always
+tried first.  The caller's specification object is thus a *handle*: the
 service never mutates it — mutations live in the entry's log, replayed by
 workers onto their private pickled copies.
 
@@ -188,18 +190,43 @@ class AffinityRouter:
         self.snapshot_resumes = 0
 
     def entry_for(self, specification: Specification) -> SessionEntry:
-        """The entry owning *specification* (interned), or a fresh one.
+        """The entry answering questions on *specification*: the entry whose
+        specification *is* this object, else an unmutated structural twin's
+        (a mutated session's answers no longer describe the twin), else a
+        fresh one."""
+        entry = self._owned_by(specification)
+        if entry is None:
+            entry = next(
+                (
+                    twin
+                    for twin in self._entries
+                    if not twin.mutated and twin.specification == specification
+                ),
+                None,
+            )
+        if entry is None:
+            return self._new_entry(specification)
+        self.hits += 1
+        return entry
 
-        Identity always matches; structural equality matches only unmutated
-        entries (a mutated session's answers no longer describe the twin)."""
+    def entry_for_mutation(self, specification: Specification) -> SessionEntry:
+        """The entry a mutation of *specification* joins: only the one whose
+        specification *is* this object — joining a structural twin's entry
+        would leak the write into the twin's answers — else a fresh one."""
+        entry = self._owned_by(specification)
+        if entry is None:
+            return self._new_entry(specification)
+        self.hits += 1
+        return entry
+
+    def _owned_by(self, specification: Specification) -> Optional[SessionEntry]:
         for entry in self._entries:
-            # the structural probe is gated on the entry being unmutated
             # reprolint: allow(R2) — identity is the session-handle fast path
-            if entry.specification is specification or (
-                not entry.mutated and entry.specification == specification
-            ):
-                self.hits += 1
+            if entry.specification is specification:
                 return entry
+        return None
+
+    def _new_entry(self, specification: Specification) -> SessionEntry:
         self.misses += 1
         snapshot: Optional[bytes] = None
         log_base = 0

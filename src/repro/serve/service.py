@@ -313,9 +313,13 @@ class ReasoningService:
         problem = item.op if isinstance(item, Mutation) else item.problem
         effective = deadline if deadline is not None else self._default_deadline
         abs_deadline = self._absolute_deadline(effective)
-        entry = self._router.entry_for(specification)
-        work = self._work_for(entry, item, abs_deadline)
         is_mutation = isinstance(item, Mutation)
+        entry = (
+            self._router.entry_for_mutation(specification)
+            if is_mutation
+            else self._router.entry_for(specification)
+        )
+        work = self._work_for(entry, item, abs_deadline)
         if is_mutation:
             entry.pending_mutations += 1
         try:

@@ -387,9 +387,15 @@ class WorkerSupervisor:
         executing ``hang_grace_s`` past it gets its worker killed.  *retry*
         gates the retransmission of retryable failures — non-idempotent work
         (mutations) should pass ``retry=False`` so an at-least-once re-run can
-        never double-apply.
+        never double-apply.  Work that cannot be pickled fails alone: its
+        future resolves at once to a non-retryable failure.
         """
-        payload = pickle.dumps(work)  # unpicklable requests fail fast, here
+        try:
+            payload = pickle.dumps(work)
+        except Exception as error:  # noqa: BLE001 - reported per request
+            failed: "Future[WorkResult]" = Future()
+            failed.set_result(WorkResult(failure=ErrorRecord.from_exception(error)))
+            return failed
         with self._lock:
             if self._closed:
                 raise ServiceError("the supervisor is closed")

@@ -8,13 +8,15 @@ search space) on every call.  :class:`ReasoningSession` owns that substrate
 once, lazily:
 
 * ``chase`` — the PTIME certain-order fixpoint (Theorem 6.1);
-* ``encoder`` — the base completion encoding with its incremental CDCL solver;
-* ``space`` — the :class:`~repro.preservation.sat_extensions.ExtensionSearchSpace`
-  over ``Ext(ρ)`` (built on the first preservation question; once present, the
-  base problems run on *its* warm solver instead of the encoder's);
+* ``encoder`` — the live completion encoding with its incremental CDCL
+  solver: the base :class:`~repro.solvers.order_encoding.CompletionEncoder`
+  until a preservation question needs ``space``, the
+  :class:`~repro.preservation.sat_extensions.ExtensionSearchSpace` over
+  ``Ext(ρ)`` (a :class:`~repro.solvers.order_encoding.CompletionEncoder`
+  itself) from then on — building the space releases the base encoder, and
+  the base problems run on the space's warm solver;
 * per-query :class:`~repro.query.engine.QueryEngine` instances and
-  current-database enumerators sharing the encoder and one interned-instance
-  cache.
+  current-database enumerators projecting the encoder's value columns.
 
 So a CPS probe warms the solver that the subsequent CCQA enumeration reuses,
 and a CPP sweep leaves behind the memoised certain answers, current-database
@@ -37,7 +39,7 @@ query engines             keep       keep        keep              keep
 column indexes            keep       keep        self [1]_         self [1]_
 encoder                   extend     extend      extend [2]_       extend [2]_
 extension search space    extend     extend      extend-or-rebuild rebuild [3]_
-current-db enumerators    keep       keep        delta             delta [4]_
+current-db enumerators    keep       keep        keep [2]_         keep [2]_
 memoised answers          delta      delta       delta             delta [4]_
 ========================  =========  ==========  ================  ============
 
@@ -46,15 +48,17 @@ memoised answers          delta      delta       delta             delta [4]_
 .. [2] The completion encoding grows *additively* when a tuple is added
    (new pair variables, block clauses, groundings — every existing clause
    stays valid), so the warm solver is extended via ``add_clause`` between
-   solves.  The one unsound case — an encoder already carrying enumerator
-   maximality clauses, whose reverse direction does not survive a grown
-   block — falls back to a full rebuild; the property harness asserts the
-   incremental and rebuilt encoders answer identically.
+   solves.  A grown block's value columns are re-encoded under a new
+   generation, so the enumerators, which only project onto the encoder's
+   current columns, stay valid and the encoder is never rebuilt; the
+   property harness asserts the extended and cold-built encoders answer
+   identically.
 .. [3] ``add_copy_function`` rewires the copy graph (new candidate imports
-   everywhere along the new edge), so the space rebuilds and the memo is
-   cleared globally; ``add_copy_import`` attempts the space tuple delta but
-   always lands on the rebuild arm today, because the applied candidate
-   leaves the candidate set and the selector prefix no longer matches.
+   everywhere along the new edge), so the space is dropped and the memo is
+   cleared globally; ``add_copy_import`` drops it too, because the applied
+   candidate leaves the candidate set, so the selector prefix the tuple
+   delta needs can never match.  Until a preservation question rebuilds the
+   space, the base problems run on a fresh base encoder.
 .. [4] ``delta`` evicts only entries whose relations intersect the
    mutation's :class:`~repro.session.footprint.MutationFootprint` (the copy
    component of the mutated instance); see that module for the soundness
@@ -123,7 +127,7 @@ from repro.reasoning.chase import (
 from repro.reasoning.current_db import CurrentDatabaseEnumerator
 from repro.reasoning.sp import sp_certain_answers
 from repro.session.footprint import MutationFootprint, component_of, query_relations
-from repro.session.snapshot import SessionSnapshot
+from repro.session.snapshot import SNAPSHOT_FORMAT, SessionSnapshot
 from repro.solvers.backend import resolve_backend
 from repro.solvers.budget import Budget, DeadlineLike, budget_scope
 from repro.solvers.order_encoding import CompletionEncoder
@@ -324,8 +328,7 @@ class ReasoningSession:
     #:     chase).
     #: ``"extend-or-rebuild"``
     #:     Extension is attempted and falls back to a drop-and-lazy-rebuild
-    #:     when it would be unsound (an encoder carrying enumerator
-    #:     maximality clauses; a space whose candidate closure changed
+    #:     when it would be unsound (a space whose candidate closure changed
     #:     shape).  :meth:`mutation_stats` counts which arm was taken.
     #: ``"rebuild"``
     #:     The cache is dropped and lazily reconstructed on next use.
@@ -334,9 +337,8 @@ class ReasoningSession:
     #: ``"delta"``
     #:     Footprint-scoped eviction: only entries whose relations intersect
     #:     the mutation's :class:`~repro.session.footprint.MutationFootprint`
-    #:     are dropped; disjoint entries (and, for the enumerator table,
-    #:     enumerators over disjoint relation sets) survive, guarded by one
-    #:     warm consistency probe before retained state is served.  A
+    #:     are dropped; disjoint entries survive, guarded by one warm
+    #:     consistency probe before retained state is served.  A
     #:     globally-invalidating footprint (``add_copy_function``) clears
     #:     the answer memo wholesale.
     CACHE_DEPENDENCIES: Mapping[str, Mapping[str, str]] = {
@@ -352,10 +354,10 @@ class ReasoningSession:
         "encoder": {
             "add_order": "extend",
             "add_denial": "extend",
-            "add_tuple": "extend-or-rebuild",
-            "add_tuples": "extend-or-rebuild",
+            "add_tuple": "extend",
+            "add_tuples": "extend",
             "add_copy_function": "extend",
-            "add_copy_import": "extend-or-rebuild",
+            "add_copy_import": "extend",
             "set_backend": "rebuild",
         },
         "space": {
@@ -370,10 +372,10 @@ class ReasoningSession:
         "enumerators": {
             "add_order": "keep",
             "add_denial": "keep",
-            "add_tuple": "delta",
-            "add_tuples": "delta",
+            "add_tuple": "keep",
+            "add_tuples": "keep",
             "add_copy_function": "keep",
-            "add_copy_import": "delta",
+            "add_copy_import": "keep",
             "set_backend": "rebuild",
         },
         "engines": {
@@ -436,9 +438,7 @@ class ReasoningSession:
             "space_extended": 0,
             "space_rebuilt": 0,
             "encoder_extended": 0,
-            "encoder_rebuilt": 0,
             "enumerators_retained": 0,
-            "enumerators_dropped": 0,
             "consistency_rechecks": 0,
             "footprint_relations": 0,
             "footprint_blocks": 0,
@@ -508,7 +508,7 @@ class ReasoningSession:
         # reprolint: allow(R2) — re-pointing a structurally-equal twin requires the identity probe
         if space.specification is not self.specification:
             space.specification = self.specification
-        self._space = space
+        self._install_space(space)
         return space
 
     # ------------------------------------------------------------------ #
@@ -543,7 +543,11 @@ class ReasoningSession:
 
     @property
     def encoder(self) -> CompletionEncoder:
-        """The base completion encoder and its warm incremental solver."""
+        """The live completion encoding and its warm incremental solver: the
+        space once a preservation question built it, else the base encoder
+        (built on first use)."""
+        if self._space is not None:
+            return self._space
         if self._encoder is None:
             # reprolint: allow(R4) — the session's own lazy factory for the warm encoder
             self._encoder = CompletionEncoder(self.specification, backend=self.backend)
@@ -551,16 +555,24 @@ class ReasoningSession:
 
     @property
     def space(self) -> ExtensionSearchSpace:
-        """The extension search space over ``Ext(ρ)`` (built on first use;
-        once present it becomes the backend for the base problems too)."""
+        """The extension search space over ``Ext(ρ)`` (built on first use)."""
         if self._space is None:
             # reprolint: allow(R4) — the session's own lazy factory for the warm search space
-            self._space = ExtensionSearchSpace(
+            space = ExtensionSearchSpace(
                 self.specification,
                 match_entities_by_eid=self.match_entities_by_eid,
                 backend=self.backend,
             )
+            self._install_space(space)
         return self._space
+
+    def _install_space(self, space: ExtensionSearchSpace) -> None:
+        """Make *space* the live encoding.  It answers every base problem
+        too, so the base encoder and the enumerators on it are released —
+        kept, the encoder would be extended on every mutation for nothing."""
+        self._space = space
+        self._encoder = None
+        self._enumerators.clear()
 
     def engine(
         self, query: AnyQuery, supplied: Optional[QueryEngine] = None
@@ -602,43 +614,10 @@ class ReasoningSession:
                 self.specification,
                 relations=sorted(key),
                 encoder=self.encoder,
-                cache=self._database_cache,
                 backend=self.backend,
             )
             self._enumerators[key] = enumerator
         return enumerator
-
-    # ------------------------------------------------------------------ #
-    # Backend-agnostic base-specification probes
-    # ------------------------------------------------------------------ #
-    def _base_satisfiable(self) -> bool:
-        """``Mod(S) ≠ ∅`` on whichever warm solver exists (the space's, once a
-        preservation question built it; the encoder's otherwise)."""
-        if self._space is not None:
-            return self._space.selection_consistent(())
-        return self.encoder.satisfiable()
-
-    def _probe_pairs(self, pairs: Sequence[Tuple[str, str, Hashable, Hashable]]) -> bool:
-        """Whether some consistent completion satisfies all currency *pairs*."""
-        if self._space is not None:
-            return self._space.base_probe(pairs)
-        return self.encoder.satisfiable(pairs)
-
-    def _excludes_some_pair(
-        self, pairs: Sequence[Tuple[str, str, Hashable, Hashable]]
-    ) -> bool:
-        """Whether some consistent completion misses at least one of *pairs*
-        (COP's complement), as one gated clause retired after the probe."""
-        if self._space is not None:
-            return self._space.base_excludes_some_pair(pairs)
-        encoder = self.encoder
-        activation = encoder.add_gated_clause(
-            [(encoder.pair_name(*pair), False) for pair in pairs]
-        )
-        try:
-            return encoder.solver.solve([activation]) is not None
-        finally:
-            encoder.retire_activation(activation)
 
     # ------------------------------------------------------------------ #
     # CPS — consistency (Section 3)
@@ -666,7 +645,7 @@ class ReasoningSession:
         if method == "sat":
             key = ("cps", "sat")
             if key not in self._verdict_memo:
-                self._verdict_memo[key] = self._base_satisfiable()
+                self._verdict_memo[key] = self.encoder.satisfiable()
             return self._verdict_memo[key]
         return first_consistent_completion(self.specification) is not None
 
@@ -718,10 +697,10 @@ class ReasoningSession:
         # completion, so such an order is certain only vacuously (Mod(S) empty).
         for _name, _attribute, lower, upper in all_pairs:
             if instance.tuple_by_tid(lower).eid != instance.tuple_by_tid(upper).eid:
-                return not self._base_satisfiable()
+                return not self.encoder.satisfiable()
         # Complement question as one SAT call on the warm solver: does a
         # consistent completion exist missing at least one pair of O_t?
-        return not self._excludes_some_pair(all_pairs)
+        return not self.encoder.excludes_some_pair(all_pairs)
 
     # ------------------------------------------------------------------ #
     # DCIP — deterministic current instances (Section 3)
@@ -748,7 +727,7 @@ class ReasoningSession:
             assumptions = [
                 (instance_name, attribute, other, tid) for other in block if other != tid
             ]
-            if self._probe_pairs(assumptions):
+            if self.encoder.satisfiable(assumptions):
                 maxima.append(tid)
         return maxima
 
@@ -797,7 +776,7 @@ class ReasoningSession:
         # SAT-backed per-cell decomposition on the shared warm solver: the
         # consistency check and every per-cell maximality probe reuse it, so
         # learnt clauses accumulate across the whole scan.
-        if not self._base_satisfiable():
+        if not self.encoder.satisfiable():
             return True  # Mod(S) empty: vacuously deterministic
         for name in names:
             instance = self.specification.instance(name)
@@ -1104,8 +1083,6 @@ class ReasoningSession:
         if deadline is not None:
             with self.deadline_scope(deadline):
                 return self.ecp()
-        if self._space is not None:
-            return self._space.selection_consistent(())
         return self.consistent()
 
     def maximal_extension(
@@ -1279,13 +1256,12 @@ class ReasoningSession:
         if not self._needs_consistency_recheck:
             return
         self._needs_consistency_recheck = False
-        if not (self._answer_memo or self._enumerators):
+        if not self._answer_memo:
             return
         self._mutation_stats["consistency_rechecks"] += 1
-        if not self._base_satisfiable():
+        if not self.encoder.satisfiable():
             self._answer_memo.clear()
             self._memo_relations.clear()
-            self._enumerators.clear()
 
     def _clear_answer_state(self) -> None:
         self._answer_memo.clear()
@@ -1322,35 +1298,11 @@ class ReasoningSession:
                     stats["memo_evicted"] += 1
                 else:
                     stats["memo_retained"] += 1
-            if self._answer_memo or self._enumerators:
+            if self._answer_memo:
                 self._needs_consistency_recheck = True
+        stats["enumerators_retained"] += len(self._enumerators)
         self._verdict_memo.clear()
         self.mutations += 1
-
-    def _evict_enumerators(self, footprint: MutationFootprint, keep_attached: bool) -> None:
-        """Footprint-scoped eviction of the current-database enumerators.
-
-        An enumerator survives when it still shares the session's live
-        encoder and the mutation's policy keeps attached enumerators
-        (*keep_attached*: order/denial/copy-function mutations, whose clauses
-        reached it through that shared encoder), or when its relation set is
-        disjoint from the footprint (a *detached* enumerator holds the
-        pre-mutation encoder, which still enumerates the correct databases
-        for untouched components; the consistency recheck guards the one
-        global hazard)."""
-        for key in list(self._enumerators):
-            enumerator = self._enumerators[key]
-            # the shared-warm-solver check is about object identity (is this
-            # the live encoder?), not structural equality
-            attached = self._encoder is not None and enumerator.encoder is self._encoder
-            if attached and keep_attached:
-                self._mutation_stats["enumerators_retained"] += 1
-                continue
-            if not footprint.intersects_relations(key):
-                self._mutation_stats["enumerators_retained"] += 1
-                continue
-            del self._enumerators[key]
-            self._mutation_stats["enumerators_dropped"] += 1
 
     def _footprint_for_instance(
         self,
@@ -1383,34 +1335,26 @@ class ReasoningSession:
             self._chase = None
             self._mutation_stats["chase_rebuilt"] += 1
 
-    def _extend_or_rebuild_space_for_tuples(
-        self, instance_name: str, tids: Sequence[Hashable]
-    ) -> None:
-        """The space's ``extend-or-rebuild`` policy for added tuples: grow
-        the warm space in place when the candidate closure kept its shape,
-        drop it for a lazy rebuild otherwise."""
-        if self._space is None:
-            return
-        if self._space.extend_with_tuples(instance_name, tids):
-            self._mutation_stats["space_extended"] += 1
-        else:
-            self._space = None
-            self._mutation_stats["space_rebuilt"] += 1
-
-    def _drop_or_extend_encoder_for_tuples(
-        self, instance_name: str, tids: Sequence[Hashable]
-    ) -> None:
-        """Extend the encoder with the new tuples' additive delta, or fall
-        back to a full rebuild when it carries enumerator maximality clauses
-        (whose reverse direction would be unsound for the grown block)."""
-        if self._encoder is None:
-            return
-        if self._encoder.maximality_encoded:
-            self._encoder = None
-            self._mutation_stats["encoder_rebuilt"] += 1
-        else:
+    def _extend_for_tuples(self, instance_name: str, tids: Sequence[Hashable]) -> None:
+        """Grow the live encoding by the added tuples: the base encoder
+        always extends; the space extends while its candidate closure keeps
+        its shape and is dropped for a lazy rebuild otherwise."""
+        if self._space is not None:
+            if self._space.extend_with_tuples(instance_name, tids):
+                self._mutation_stats["space_extended"] += 1
+            else:
+                self._space = None
+                self._mutation_stats["space_rebuilt"] += 1
+        elif self._encoder is not None:
             self._encoder.add_tuples_incremental(instance_name, tids)
             self._mutation_stats["encoder_extended"] += 1
+
+    def _drop_space(self) -> None:
+        """Drop the space after a mutation that reshapes its candidate closure;
+        the base encoder is then built afresh when a base problem needs one."""
+        if self._space is not None:
+            self._space = None
+            self._mutation_stats["space_rebuilt"] += 1
 
     def add_order(
         self, instance_name: str, attribute: str, lower: Hashable, upper: Hashable
@@ -1418,10 +1362,10 @@ class ReasoningSession:
         """Record ``lower ≺_attribute upper`` in the live specification.
 
         The chase is extended by a warm fixpoint re-run from the new pair;
-        the encoder and the space each gain one unit clause on their warm
-        solvers; engines and column indexes survive, and the answer memo /
-        enumerators follow the footprint-scoped ``delta`` policy.  A pair
-        already present is a no-op."""
+        the live encoding gains one unit clause on its warm solver; engines,
+        column indexes and enumerators survive, and the answer memo follows
+        the footprint-scoped ``delta`` policy.  A pair already present is a
+        no-op."""
         instance = self.specification.instance(instance_name)
         if not instance.add_order(attribute, lower, upper):
             return  # already recorded: nothing changed
@@ -1433,32 +1377,28 @@ class ReasoningSession:
             else None
         )
         self._invalidate_chase(extended)
-        if self._encoder is not None:
-            self._encoder.add_order_pair(instance_name, attribute, lower, upper)
-        if self._space is not None:
-            self._space.add_order(instance_name, attribute, lower, upper)
+        live = self._space if self._space is not None else self._encoder
+        if live is not None:
+            live.add_order_pair(instance_name, attribute, lower, upper)
         eids = {instance.tuple_by_tid(lower).eid, instance.tuple_by_tid(upper).eid}
-        footprint = self._footprint_for_instance(
-            "add_order", instance_name, eids=eids, attributes=(attribute,)
+        self._finish_mutation(
+            self._footprint_for_instance(
+                "add_order", instance_name, eids=eids, attributes=(attribute,)
+            )
         )
-        self._evict_enumerators(footprint, keep_attached=True)
-        self._finish_mutation(footprint)
 
     def add_denial(self, instance_name: str, constraint: DenialConstraint) -> None:
         """Attach a denial constraint to the named instance.
 
         The chase survives untouched (it never reads denial constraints), as
-        do column indexes and engines; the encoder and the space are extended
-        in place with the constraint's grounded implications, and the answer
-        memo / enumerators follow the footprint-scoped ``delta`` policy."""
+        do column indexes, engines and enumerators; the live encoding is
+        extended in place with the constraint's grounded implications, and
+        the answer memo follows the footprint-scoped ``delta`` policy."""
         self.specification.add_constraint(instance_name, constraint)
-        if self._encoder is not None:
-            self._encoder.add_denial_constraint(instance_name, constraint)
-        if self._space is not None:
-            self._space.add_denial(instance_name, constraint)
-        footprint = self._footprint_for_instance("add_denial", instance_name)
-        self._evict_enumerators(footprint, keep_attached=True)
-        self._finish_mutation(footprint)
+        live = self._space if self._space is not None else self._encoder
+        if live is not None:
+            live.add_denial_constraint(instance_name, constraint)
+        self._finish_mutation(self._footprint_for_instance("add_denial", instance_name))
 
     def add_tuple(
         self,
@@ -1472,12 +1412,12 @@ class ReasoningSession:
         The chase is extended in place (a fresh tuple is unmapped by every
         copy function, so registering it as an order element *is* the new
         fixpoint); the space attempts its tuple delta and falls back to a
-        rebuild when the candidate closure changed shape; the encoder is
-        extended incrementally with the purely additive block/grounding delta
-        — unless it already carries maximality clauses, in which case it is
-        rebuilt (the property harness asserts both routes answer
-        identically).  The answer memo and enumerators follow the
-        footprint-scoped ``delta`` policy."""
+        rebuild when the candidate closure changed shape; the base encoder is
+        extended with the purely additive block/grounding delta and
+        re-encoded value columns, so its enumerators survive (the property
+        harness asserts extended and cold-built encoders answer
+        identically).  The answer memo follows the footprint-scoped
+        ``delta`` policy."""
         instance = self.specification.instance(instance_name)
         tup = self._coerce_tuple(instance, tid, values)
         instance.add(tup)
@@ -1489,16 +1429,15 @@ class ReasoningSession:
             else None
         )
         self._invalidate_chase(extended)
-        self._extend_or_rebuild_space_for_tuples(instance_name, (tup.tid,))
-        self._drop_or_extend_encoder_for_tuples(instance_name, (tup.tid,))
-        footprint = self._footprint_for_instance(
-            "add_tuple",
-            instance_name,
-            eids=(tup.eid,),
-            attributes=instance.schema.attributes,
+        self._extend_for_tuples(instance_name, (tup.tid,))
+        self._finish_mutation(
+            self._footprint_for_instance(
+                "add_tuple",
+                instance_name,
+                eids=(tup.eid,),
+                attributes=instance.schema.attributes,
+            )
         )
-        self._evict_enumerators(footprint, keep_attached=False)
-        self._finish_mutation(footprint)
 
     @staticmethod
     def _coerce_tuple(
@@ -1570,26 +1509,24 @@ class ReasoningSession:
             else None
         )
         self._invalidate_chase(extended)
-        self._extend_or_rebuild_space_for_tuples(instance_name, tids)
-        self._drop_or_extend_encoder_for_tuples(instance_name, tids)
-        footprint = self._footprint_for_instance(
-            "add_tuples",
-            instance_name,
-            eids={tup.eid for tup in batch},
-            attributes=instance.schema.attributes,
+        self._extend_for_tuples(instance_name, tids)
+        self._finish_mutation(
+            self._footprint_for_instance(
+                "add_tuples",
+                instance_name,
+                eids={tup.eid for tup in batch},
+                attributes=instance.schema.attributes,
+            )
         )
-        self._evict_enumerators(footprint, keep_attached=False)
-        self._finish_mutation(footprint)
 
     def add_copy_function(self, copy_function: CopyFunction) -> None:
         """Attach a new copy function (validated against the instances).
 
         The chase is extended by a warm fixpoint re-run over the new
         function's implications; the space is invalidated (the candidate
-        closure changes shape); the encoder gains the function's
-        ≺-compatibility implications in place; enumerators sharing the live
-        encoder survive (no block changed, and the implications reached them
-        through it).  The mutation rewires the copy graph itself, so its
+        closure changes shape); the base encoder gains the function's
+        ≺-compatibility implications in place, and its enumerators survive
+        (no block changed).  The mutation rewires the copy graph itself, so its
         footprint is global and the answer memo is cleared wholesale."""
         self.specification.add_copy_function(copy_function)
         extended = (
@@ -1598,15 +1535,13 @@ class ReasoningSession:
             else None
         )
         self._invalidate_chase(extended)
-        if self._space is not None:
-            self._space = None
-            self._mutation_stats["space_rebuilt"] += 1
+        self._drop_space()
         if self._encoder is not None:
             self._encoder.add_copy_function(copy_function)
             self._mutation_stats["encoder_extended"] += 1
-        footprint = MutationFootprint(op="add_copy_function", global_invalidation=True)
-        self._evict_enumerators(footprint, keep_attached=True)
-        self._finish_mutation(footprint)
+        self._finish_mutation(
+            MutationFootprint(op="add_copy_function", global_invalidation=True)
+        )
 
     def add_copy_import(self, candidate: CandidateImport) -> None:
         """Apply one candidate import to the live specification: materialise
@@ -1614,14 +1549,14 @@ class ReasoningSession:
         the function's mapping to cover it.
 
         Combines a tuple addition with a copy-function extension: the chase
-        registers the imported tuple and re-runs its fixpoint warm; the
+        registers the imported tuple and re-runs its fixpoint warm; the base
         encoder is extended incrementally (new block delta plus the new
-        mapping pair's compatibility implications) with the same rebuild
-        fallback as :meth:`add_tuple`; the space is invalidated — the applied
-        candidate leaves the candidate set, which always changes the
-        closure's shape, so the tuple delta's prefix check could never pass.
-        The answer memo and enumerators follow the footprint-scoped
-        ``delta`` policy over the copy function's component."""
+        mapping pair's compatibility implications) as in :meth:`add_tuple`;
+        the space is dropped — the applied candidate leaves the candidate
+        set, which always changes the closure's shape, so the tuple delta's
+        prefix check could never pass.  The answer memo follows the
+        footprint-scoped ``delta`` policy over the copy function's
+        component."""
         specification = self.specification
         position = None
         for index, existing in enumerate(specification.copy_functions):
@@ -1671,18 +1606,16 @@ class ReasoningSession:
             else None
         )
         self._invalidate_chase(extended)
-        if self._space is not None:
-            self._space = None
-            self._mutation_stats["space_rebuilt"] += 1
-        self._drop_or_extend_encoder_for_tuples(copy_function.target, (new_tid,))
-        footprint = self._footprint_for_instance(
-            "add_copy_import",
-            copy_function.target,
-            eids=(candidate.target_eid,),
-            attributes=target.schema.attributes,
+        self._drop_space()
+        self._extend_for_tuples(copy_function.target, (new_tid,))
+        self._finish_mutation(
+            self._footprint_for_instance(
+                "add_copy_import",
+                copy_function.target,
+                eids=(candidate.target_eid,),
+                attributes=target.schema.attributes,
+            )
         )
-        self._evict_enumerators(footprint, keep_attached=False)
-        self._finish_mutation(footprint)
 
     def set_backend(self, backend: str) -> None:
         """Switch the session to a different registered solver backend.
@@ -1741,11 +1674,7 @@ class ReasoningSession:
             engines=tuple(self._engines.values()),
             answers=answers,
             verdicts=dict(self._verdict_memo),
-            # engines/answers are keyed structurally now; the field survives
-            # so snapshots stay readable by older readers
-            pinned_queries=tuple(
-                dict.fromkeys(query for query, _method in self._answer_memo)
-            ),
+            format_version=SNAPSHOT_FORMAT,
         )
         return snapshot.detach() if detach else snapshot
 

@@ -68,12 +68,20 @@ else:
     AnyQuery = Any
 
 __all__ = [
+    "SNAPSHOT_FORMAT",
     "SessionSnapshot",
     "SnapshotStore",
     "restore_bytes",
     "snapshot_bytes",
     "specification_fingerprint",
 ]
+
+
+#: The pickled layout of a snapshot and of everything it carries (encoder,
+#: search space, enumerators).  Bump it whenever that layout changes: a
+#: payload recorded under another number is refused, and the serving layer
+#: treats the refusal as a cache miss and rebuilds cold.
+SNAPSHOT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,11 @@ class SessionSnapshot:
     engines: Tuple[QueryEngine, ...]
     answers: Tuple[Tuple[AnyQuery, str, Optional[FrozenSet[Tuple[Any, ...]]]], ...]
     verdicts: Dict[Tuple[str, ...], bool]
-    pinned_queries: Tuple[AnyQuery, ...]
     #: solver backend the warm state was earned on.  Warm solver state is
-    #: engine-specific, so restore refuses a different backend request; the
-    #: default keeps snapshots pickled before the backend seam restorable.
-    backend: str = "reference"
+    #: engine-specific, so restore refuses a different backend request.
+    backend: str
+    #: :data:`SNAPSHOT_FORMAT` of the writer
+    format_version: int
 
     def to_bytes(self) -> bytes:
         """Serialise (the wire/disk format of the serving layer)."""
@@ -111,10 +119,18 @@ class SessionSnapshot:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SessionSnapshot":
+        """Deserialise; a payload of another format is refused."""
         snapshot = pickle.loads(payload)
         if not isinstance(snapshot, cls):
             raise SpecificationError(
                 f"payload does not hold a SessionSnapshot (got {type(snapshot).__name__})"
+            )
+        # read the instance's own field: a pickle that predates the field
+        # must not pass by way of a class-level default
+        written = vars(snapshot).get("format_version")
+        if written != SNAPSHOT_FORMAT:
+            raise SpecificationError(
+                f"snapshot format {written!r} is not the supported format {SNAPSHOT_FORMAT}"
             )
         return snapshot
 

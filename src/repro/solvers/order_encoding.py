@@ -16,40 +16,61 @@ and the well-formedness conditions become clauses:
 * grounded denial-constraint implications,
 * copy-function ≺-compatibility implications.
 
-A model decodes back into a full consistent completion.
+A model decodes back into a full consistent completion.  On top, the
+*value columns* read a completion's current database: per entity and
+attribute, one maximality variable per tuple and one value variable per
+distinct value (see :meth:`CompletionEncoder.encode_value_columns`), so
+current databases are enumerated as models projected onto the value
+variables.
+
+This is the one encoding of completions.  The extension search space of the
+preservation problems (:class:`~repro.preservation.sat_extensions.ExtensionSearchSpace`)
+subclasses :class:`CompletionEncoder`: it encodes the *maximal* extension and
+gates every clause that involves an imported tuple on that import's selector
+through the :meth:`CompletionEncoder._guards` hook.  The base encoder's
+guards are empty, so a space with an empty candidate closure encodes exactly
+what the base encoder does.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.core.completion import CurrentDatabaseCache
 from repro.core.copy_function import CopyFunction
 from repro.core.denial import DenialConstraint
-from repro.core.instance import TemporalInstance
+from repro.core.instance import NormalInstance, TemporalInstance
 from repro.core.specification import Specification
 from repro.exceptions import SolverError
 from repro.solvers.backend import SolverBackend, create_solver, resolve_backend
 from repro.solvers.cnf import CNF
-from repro.solvers.sat import Model, iterate_models
+from repro.solvers.sat import Model
 
 __all__ = ["PairVariable", "CompletionEncoder"]
 
 PairVariable = Tuple[str, str, Hashable, Hashable]
 
+#: one entity's value columns: ``(eid, [(attribute, [(value, value variable)])])``
+ValueSlot = Tuple[Any, List[Tuple[str, List[Tuple[Any, int]]]]]
+
 
 class CompletionEncoder:
     """Encode ``Mod(S) ≠ ∅`` (and refinements of it) as CNF satisfiability.
 
-    The encoder owns one incremental :class:`~repro.solvers.sat.Solver` that
-    is kept in sync with ``self.cnf``: clauses added after construction (e.g.
-    by :meth:`require_pair` or the maximality encoding of the current-database
-    enumerator) are fed to it lazily, and clauses the solver *learns* while
-    answering one question keep pruning the search for every later question on
-    the same encoder.  :meth:`satisfiable` accepts *assumptions* — named
-    currency pairs temporarily forced true — so per-candidate probes (e.g.
-    "can tuple t be maximal?") reuse one warm solver instead of re-encoding
-    the specification per candidate.
+    The encoder owns one incremental solver that is kept in sync with
+    ``self.cnf``: clauses added after construction (mutation deltas, value
+    columns, gated clauses) are fed to it lazily, and clauses the solver
+    *learns* while answering one question keep pruning the search for every
+    later question on the same encoder.  :meth:`satisfiable` accepts
+    *assumptions* — named currency pairs temporarily forced true — so
+    per-candidate probes (e.g. "can tuple t be maximal?") reuse one warm
+    solver instead of re-encoding the specification per candidate.
+
+    The encoding only ever grows: every mutation the session facade supports
+    (orders, denial constraints, copy functions, tuples) is an additive
+    delta, and a grown block's value columns are re-encoded under a new
+    generation, so the encoder never has to be rebuilt.
     """
 
     def __init__(self, specification: Specification, backend: Optional[str] = None) -> None:
@@ -57,202 +78,287 @@ class CompletionEncoder:
         #: resolved solver backend name (see :mod:`repro.solvers.backend`)
         self.backend = resolve_backend(backend)
         self.cnf = CNF()
-        self._pair_domain: Dict[Tuple[str, str], List[Tuple[Hashable, Hashable]]] = {}
         self._solver: Optional[SolverBackend] = None
         self._fed_clauses = 0
         self._cached_model: Optional[Tuple[int, Optional[Model]]] = None
+        #: activation literals of the gated passes still open (enumerations
+        #: and gated probes); every other solve assumes their negation
+        self._activation_literals: List[int] = []
         self._activation_count = 0
-        #: instance names whose maximality clauses a
-        #: :class:`~repro.reasoning.current_db.CurrentDatabaseEnumerator` has
-        #: already added to ``self.cnf``.  Enumerators sharing one encoder
-        #: consult this registry so overlapping relation sets are encoded
-        #: once; it also marks the encoder as *non-extendable* by
-        #: :meth:`add_tuples_incremental` (the reverse maximality clauses
-        #: "all present others below ⟹ max" become too strong when a block
-        #: grows, so a session must rebuild instead).
-        self.maximality_encoded: Set[str] = set()
+        #: instance -> per-entity value columns, for the instances whose
+        #: current databases are enumerated
+        self._value_slots: Dict[str, List[ValueSlot]] = {}
+        #: (instance, eid) -> value-column generation.  A block that gains
+        #: tuples is re-encoded with fresh generation-suffixed max/value
+        #: variables (CNF clauses cannot be retracted); absent means the
+        #: first generation 0 is still current.
+        self._maximality_generation: Dict[Tuple[str, Hashable], int] = {}
+        #: decoded current instances, interned by value so that databases
+        #: sharing an instance share its column indexes too
+        self._instance_cache = CurrentDatabaseCache()
         self._build()
+
+    @property
+    def full(self) -> Specification:
+        """The specification whose tuples the clauses range over."""
+        return self.specification
+
+    # ------------------------------------------------------------------ #
+    # Hooks (overridden by the extension search space)
+    # ------------------------------------------------------------------ #
+    def _guards(self, instance: str, tids: Iterable[Hashable]) -> List[int]:
+        """Presence guards: literals that release a clause when one of the
+        tuples *tids* is absent.  Every tuple of the base specification is
+        present, so there are none."""
+        return []
+
+    def _selection_literals(self, selection: Sequence[int], exact: bool) -> List[int]:
+        """Assumptions fixing the candidate imports of *selection*; the base
+        encoding has no candidates, so only the empty selection exists."""
+        for index in selection:
+            raise SolverError(f"unknown candidate-import index {index}")
+        return []
+
+    def _invalidate_derived_caches(self) -> None:
+        """Drop answers memoised over the encoding (the base keeps none)."""
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def pair_name(
-        self, instance: str, attribute: str, lower: Hashable, upper: Hashable
-    ) -> PairVariable:
-        """The variable name for ``lower ≺_attribute upper`` in *instance*."""
-        return (instance, attribute, lower, upper)
+    def _pair(self, instance: str, attribute: str, lower: Hashable, upper: Hashable) -> int:
+        """The variable of ``lower ≺_attribute upper`` in *instance*."""
+        return self.cnf.variable((instance, attribute, lower, upper))
+
+    def _pair_literal(self, pair: PairVariable, positive: bool = True) -> int:
+        if not self.cnf.has_variable(pair):
+            # allocating a fresh unconstrained variable here would make the
+            # probe vacuously satisfiable — reject caller mistakes
+            # (cross-entity or unknown pairs are never encoded)
+            raise SolverError(f"currency pair {pair!r} is not part of the encoding")
+        return self.cnf.literal(pair, positive)
 
     def _build(self) -> None:
-        for name, instance in self.specification.instances.items():
+        full = self.full
+        for name, instance in full.instances.items():
             self._encode_instance(name, instance)
-        for name in self.specification.instances:
-            self._encode_denial_constraints(name)
-        self._encode_copy_functions()
+        for name in full.instances:
+            for constraint in full.constraints_for(name):
+                self._encode_denial_constraint(name, constraint)
+        for copy_function in full.copy_functions:
+            self._encode_copy_function(copy_function)
 
     def _encode_instance(self, name: str, instance: TemporalInstance) -> None:
+        cnf = self.cnf
         for attribute in instance.schema.attributes:
             order = instance.order(attribute)
             for eid in instance.entities():
                 block = instance.entity_tids(eid)
-                for lower, upper in permutations(block, 2):
-                    self.cnf.variable(self.pair_name(name, attribute, lower, upper))
-                    self._pair_domain.setdefault((name, attribute), []).append((lower, upper))
                 for lower, upper in combinations(block, 2):
-                    forward = self.pair_name(name, attribute, lower, upper)
-                    backward = self.pair_name(name, attribute, upper, lower)
-                    # antisymmetry and totality on the entity block
-                    self.cnf.add_named_clause([(forward, False), (backward, False)])
-                    self.cnf.add_named_clause([(forward, True), (backward, True)])
-                # transitivity
+                    forward = self._pair(name, attribute, lower, upper)
+                    backward = self._pair(name, attribute, upper, lower)
+                    # antisymmetry holds for any total order of the block,
+                    # present tuples or not — assert it outright
+                    cnf.add_clause([-forward, -backward])
+                    # totality only binds pairs of *present* tuples
+                    cnf.add_clause(
+                        self._guards(name, (lower, upper)) + [forward, backward]
+                    )
+                # transitivity also survives absent tuples (any total order
+                # of the block satisfies it) and sharpens propagation
                 for a in block:
                     for b in block:
                         for c in block:
                             if len({a, b, c}) != 3:
                                 continue
-                            self.cnf.add_implication(
+                            cnf.add_clause(
                                 [
-                                    (self.pair_name(name, attribute, a, b), True),
-                                    (self.pair_name(name, attribute, b, c), True),
-                                ],
-                                (self.pair_name(name, attribute, a, c), True),
+                                    -self._pair(name, attribute, a, b),
+                                    -self._pair(name, attribute, b, c),
+                                    self._pair(name, attribute, a, c),
+                                ]
                             )
-                # the given partial currency order must be extended
+            # the given partial currency order must be extended
             for lower, upper in order.pairs():
-                self.cnf.add_unit(self.pair_name(name, attribute, lower, upper), True)
+                cnf.add_clause([self._pair(name, attribute, lower, upper)])
 
-    def _same_entity(self, instance: TemporalInstance, lower: Hashable, upper: Hashable) -> bool:
+    def _same_entity(
+        self, instance: TemporalInstance, lower: Hashable, upper: Hashable
+    ) -> bool:
         return (
             lower != upper
             and instance.tuple_by_tid(lower).eid == instance.tuple_by_tid(upper).eid
         )
 
-    def _encode_denial_constraints(self, name: str) -> None:
-        for constraint in self.specification.constraints_for(name):
-            self._encode_denial_constraint(name, constraint)
-
     def _encode_denial_constraint(
         self,
         name: str,
         constraint: DenialConstraint,
-        only_tids: Optional[AbstractSet[Hashable]] = None,
+        only_tids: Optional[Set[Hashable]] = None,
     ) -> None:
-        """Ground one denial constraint into implications.
+        """Ground one denial constraint into implications, each gated on the
+        presence of its grounding's *support* tuples.
 
         *only_tids*, when given, restricts to groundings whose support
         involves those tuple ids — the additive delta after tuples were
-        added.  Each qualifying implication is grounded once, where
-        tuple-at-a-time deltas would re-emit a grounding touching several new
-        tuples once per tuple.
+        added, which must not duplicate the groundings already encoded.
         """
-        instance = self.specification.instance(name)
-        for implication, support in constraint.grounded_implications_with_support(instance):
+        instance = self.full.instance(name)
+        grounded = instance
+        if only_tids is not None:
+            # a grounding assigns tuples of one entity, so only the blocks of
+            # the new tuples can ground over them (kept in instance order)
+            eids = {instance.tuple_by_tid(tid).eid for tid in only_tids}
+            grounded = TemporalInstance(
+                instance.schema,
+                [tup for eid in instance.entities() if eid in eids
+                 for tup in instance.entity_block(eid)],
+            )
+        for implication, support in constraint.grounded_implications_with_support(
+            grounded
+        ):
             if only_tids is not None and only_tids.isdisjoint(support):
                 continue
-            premises: List[Tuple[PairVariable, bool]] = []
+            guards = self._guards(name, support)
+            premises: List[int] = []
             vacuous = False
             for attribute, lower, upper in implication.premises:
                 if not self._same_entity(instance, lower, upper):
                     vacuous = True  # the premise can never hold
                     break
-                premises.append((self.pair_name(name, attribute, lower, upper), True))
+                premises.append(-self._pair(name, attribute, lower, upper))
             if vacuous:
                 continue
             head = implication.head
             if head is None:
-                self.cnf.add_implication(premises, None)
+                self.cnf.add_clause(guards + premises)
                 continue
             attribute, lower, upper = head
             if not self._same_entity(instance, lower, upper):
                 # the head can never be satisfied: the premises must fail
-                self.cnf.add_implication(premises, None)
+                self.cnf.add_clause(guards + premises)
             else:
-                self.cnf.add_implication(
-                    premises, (self.pair_name(name, attribute, lower, upper), True)
+                self.cnf.add_clause(
+                    guards + premises + [self._pair(name, attribute, lower, upper)]
                 )
-
-    def _encode_copy_functions(self) -> None:
-        for copy_function in self.specification.copy_functions:
-            self._encode_copy_function(copy_function)
 
     def _encode_copy_function(
         self,
         copy_function: CopyFunction,
-        only_tids: Optional[AbstractSet[Hashable]] = None,
+        only_new: Optional[Dict[str, Set[Hashable]]] = None,
     ) -> None:
-        """≺-compatibility implications of one copy function.
+        """≺-compatibility implications of one copy function, gated on the
+        presence of the mapped tuples involved.
 
-        *only_tids*, when given, restricts to implications involving those
-        tuple ids (in the source or target role) — the additive delta after
-        mapped tuples were added or mapping pairs extended.
+        With *only_new* (instance -> freshly added tuple ids), only
+        implications touching a fresh tuple are emitted — fresh unmapped
+        tuples contribute nothing, but fresh *mapped* tuples (imports)
+        extend the mapping and their implications must land on the warm
+        solver.
         """
-        target = self.specification.instance(copy_function.target)
-        source = self.specification.instance(copy_function.source)
+        target = self.full.instance(copy_function.target)
+        source = self.full.instance(copy_function.source)
+        src_new: Set[Hashable] = set()
+        tgt_new: Set[Hashable] = set()
+        if only_new is not None:
+            src_new = only_new.get(copy_function.source, set())
+            tgt_new = only_new.get(copy_function.target, set())
+            if not src_new and not tgt_new:
+                return
+        # compatibility_implications yields only distinct same-entity source
+        # pairs and distinct same-entity target pairs
         for (src_attr, s1, s2), (tgt_attr, t1, t2) in copy_function.compatibility_implications(
             target, source
         ):
-            if only_tids is not None and only_tids.isdisjoint((s1, s2, t1, t2)):
+            if only_new is not None and not (
+                s1 in src_new or s2 in src_new or t1 in tgt_new or t2 in tgt_new
+            ):
                 continue
-            if not self._same_entity(source, s1, s2):
+            guards = self._guards(copy_function.source, (s1, s2)) + self._guards(
+                copy_function.target, (t1, t2)
+            )
+            self.cnf.add_clause(
+                guards
+                + [
+                    -self._pair(copy_function.source, src_attr, s1, s2),
+                    self._pair(copy_function.target, tgt_attr, t1, t2),
+                ]
+            )
+
+    # ------------------------------------------------------------------ #
+    # Value columns (current databases)
+    # ------------------------------------------------------------------ #
+    def encode_value_columns(self, names: Iterable[str]) -> None:
+        """Encode the maximality/value columns of the named instances (each
+        once; later tuple deltas keep them current)."""
+        for name in names:
+            if name in self._value_slots:
                 continue
-            source_pair = (self.pair_name(copy_function.source, src_attr, s1, s2), True)
-            if not self._same_entity(target, t1, t2):
-                self.cnf.add_implication([source_pair], None)
-            else:
-                self.cnf.add_implication(
-                    [source_pair],
-                    (self.pair_name(copy_function.target, tgt_attr, t1, t2), True),
+            instance = self.full.instance(name)
+            self._value_slots[name] = [
+                self._encode_block_maximality(
+                    name, instance, eid, self._maximality_generation.get((name, eid), 0)
                 )
+                for eid in instance.entities()
+            ]
 
-    # ------------------------------------------------------------------ #
-    # Extra constraints used by the decision procedures
-    # ------------------------------------------------------------------ #
-    def require_pair(self, instance: str, attribute: str, lower: Hashable, upper: Hashable) -> None:
-        """Force ``lower ≺_attribute upper`` in every model."""
-        self.cnf.add_unit(self.pair_name(instance, attribute, lower, upper), True)
+    def _encode_block_maximality(
+        self, name: str, instance: TemporalInstance, eid: Hashable, generation: int
+    ) -> ValueSlot:
+        """``max(t)`` ⟺ t is the ≺-greatest *present* tuple of its block.
 
-    def forbid_all_of(self, pairs: Iterable[Tuple[str, str, Hashable, Hashable]]) -> None:
-        """Require that at least one of *pairs* does **not** hold (one clause)."""
-        clause = [(self.pair_name(*pair), False) for pair in pairs]
-        self.cnf.add_named_clause(clause)
+        Encoded as ``max(t) ⟹ present(t)``, ``max(t) ∧ present(u) ⟹ u ≺ t``
+        and one at-least-one clause per (entity, attribute); with totality and
+        antisymmetry on present tuples this pins exactly the true maximum, so
+        the maximality variables are fully determined by the order (and the
+        selection) and exactly one holds per (entity, attribute).
 
-    def require_maximal(
-        self, instance_name: str, attribute: str, eid: Hashable, tid: Hashable
-    ) -> None:
-        """Force *tid* to be the greatest tuple of its entity block for *attribute*."""
-        instance = self.specification.instance(instance_name)
-        for other in instance.entity_tids(eid):
-            if other != tid:
-                self.require_pair(instance_name, attribute, other, tid)
+        On top, one *value* variable per (entity, attribute, value) is defined
+        as the disjunction of the column's maximality variables carrying that
+        value: ``max(t) ⟹ val(t[A])`` and ``val(v) ⟹ ⋁_{t[A]=v} max(t)``.
+        Projecting model enumeration onto the value variables yields each
+        distinct current *value* signature once, no matter how many
+        value-equal maximal tuples realise it.
 
-    # ------------------------------------------------------------------ #
-    # Activation-gated clauses (scoped constraints on a shared encoder)
-    # ------------------------------------------------------------------ #
-    def new_activation(self) -> int:
-        """A fresh activation literal.  Clauses gated behind it (``¬act ∨ …``)
-        constrain only the solve calls that *assume* the literal; callers that
-        share one encoder (the session facade, concurrent current-database
-        enumeration passes) draw their activation literals here so they never
-        collide."""
-        self._activation_count += 1
-        return self.cnf.variable(("__enc_act__", self._activation_count))
-
-    def add_gated_clause(self, named_literals: Iterable[Tuple[PairVariable, bool]]) -> int:
-        """Add a clause active only under a fresh activation literal, which is
-        returned.  Every variable must already be part of the encoding (a
-        fresh unconstrained variable would make the clause vacuous)."""
-        literals = []
-        for name, positive in named_literals:
-            if not self.cnf.has_variable(name):
-                raise SolverError(f"currency pair {name!r} is not part of the encoding")
-            literals.append(self.cnf.literal(name, positive))
-        activation = self.new_activation()
-        self.cnf.add_clause([-activation] + literals)
-        return activation
-
-    def retire_activation(self, activation: int) -> None:
-        """Permanently disable the clauses gated behind *activation* (a root
-        unit in the CNF, so rebuilt solvers honour it too)."""
-        self.cnf.add_clause([-activation])
+        *generation* versions the variable names: when a block grows it is
+        re-encoded under the next generation, and the old columns are
+        abandoned in place — they stay satisfiable (the block's ≺-greatest
+        present *old* tuple can carry the old maximality variable) and
+        nothing projects onto them any more.
+        """
+        cnf = self.cnf
+        suffix: Tuple[Any, ...] = (generation,) if generation else ()
+        value_per_attribute: List[Tuple[str, List[Tuple[Any, int]]]] = []
+        block = instance.entity_tids(eid)
+        for attribute in instance.schema.attributes:
+            column: List[int] = []
+            by_value: Dict[Any, List[int]] = {}
+            for tid in block:
+                max_var = cnf.variable(("max", name, eid, tid, attribute) + suffix)
+                column.append(max_var)
+                by_value.setdefault(
+                    instance.tuple_by_tid(tid)[attribute], []
+                ).append(max_var)
+                presence = self._guards(name, (tid,))
+                if presence:  # an absent tuple is never maximal
+                    cnf.add_clause([-max_var] + [-literal for literal in presence])
+                for other in block:
+                    if other == tid:
+                        continue
+                    cnf.add_clause(
+                        [-max_var]
+                        + self._guards(name, (other,))
+                        + [self._pair(name, attribute, other, tid)]
+                    )
+            cnf.add_clause(column)
+            value_column: List[Tuple[Any, int]] = []
+            for value, max_vars in by_value.items():
+                value_var = cnf.variable(("val", name, eid, attribute, value) + suffix)
+                value_column.append((value, value_var))
+                for max_var in max_vars:
+                    cnf.add_clause([-max_var, value_var])
+                cnf.add_clause([-value_var] + max_vars)
+            value_per_attribute.append((attribute, value_column))
+        return (eid, value_per_attribute)
 
     # ------------------------------------------------------------------ #
     # Incremental mutation (the session facade's dependency map)
@@ -262,7 +368,11 @@ class CompletionEncoder:
     ) -> None:
         """Extend the encoding after ``lower ≺_attribute upper`` was added to
         the specification's partial order (one additive unit clause)."""
-        self.cnf.add_unit(self.pair_name(instance_name, attribute, lower, upper), True)
+        instance = self.full.instance(instance_name)
+        if not instance.precedes(attribute, lower, upper):
+            instance.add_order(attribute, lower, upper)
+        self.cnf.add_clause([self._pair_literal((instance_name, attribute, lower, upper))])
+        self._invalidate_derived_caches()
 
     def add_denial_constraint(
         self, instance_name: str, constraint: DenialConstraint
@@ -270,7 +380,10 @@ class CompletionEncoder:
         """Extend the encoding after *constraint* was attached to the named
         instance.  Sound incrementally: a new denial constraint only *adds*
         grounded implications; every existing clause remains valid."""
+        if constraint not in self.full.constraints_for(instance_name):
+            self.full.add_constraint(instance_name, constraint)
         self._encode_denial_constraint(instance_name, constraint)
+        self._invalidate_derived_caches()
 
     def add_copy_function(self, copy_function: CopyFunction) -> None:
         """Extend the encoding after *copy_function* was added to the
@@ -279,91 +392,100 @@ class CompletionEncoder:
 
     def add_tuples_incremental(
         self, instance_name: str, tids: Sequence[Hashable]
-    ) -> None:
+    ) -> bool:
         """Extend the encoding after the tuples *tids* were added to the
-        named instance — one delta pass for the whole batch.
+        named instance — one delta pass for the whole batch.  Always True:
+        the base encoding can always be extended.
 
-        Growing an entity block only *adds* well-formedness obligations — pair
-        variables, antisymmetry/totality/transitivity for pairs involving the
-        new tuples, the denial groundings and copy implications their presence
-        admits — so the delta is purely additive ``add_clause`` work between
-        solves and the warm solver state stays valid.  The one exception is an
-        encoder that already carries maximality clauses (``maximality_encoded``
-        non-empty): their "all others below ⟹ max" direction does not survive
-        a grown block, so such encoders must be rebuilt instead — asserted
-        here rather than silently producing a wrong encoding.
-
-        Per-tuple well-formedness deltas replay the tuple-at-a-time order (a
-        later tuple's pair variables against an earlier one are minted exactly
-        once), but the denial groundings and copy implications the batch
-        admits are enumerated in a **single** pass over the specification,
-        restricted to groundings touching any new tuple — the dominant cost
-        of the tuple mutation path, previously paid once per tuple.
+        Growing an entity block only *adds* well-formedness obligations, so
+        the delta is purely additive ``add_clause`` work between solves and
+        the warm solver state stays valid (see :meth:`_encode_fresh_tuples`).
         """
-        if self.maximality_encoded:
-            raise SolverError(
-                "add_tuples_incremental() on an encoder with maximality "
-                "clauses; the enumerator's reverse clauses would be too "
-                "strong for the grown block — rebuild the encoder instead"
-            )
-        instance = self.specification.instance(instance_name)
-        new_set = set(tids)
-        processed: Set[Hashable] = set()
-        for tid in tids:
-            if tid in processed:
-                continue
-            new = instance.tuple_by_tid(tid)
-            block = instance.entity_tids(new.eid)
-            # replay the sequential order: pairs against a batch-mate are
-            # minted by whichever of the two comes later in the batch
-            others = [
-                other
-                for other in block
-                if other != tid and (other not in new_set or other in processed)
-            ]
-            self._add_tuple_block_delta(instance_name, instance, tid, others)
-            processed.add(tid)
-        for constraint in self.specification.constraints_for(instance_name):
-            self._encode_denial_constraint(instance_name, constraint, only_tids=new_set)
-        for copy_function in self.specification.copy_functions:
-            if instance_name in (copy_function.source, copy_function.target):
-                self._encode_copy_function(copy_function, only_tids=new_set)
+        self._encode_fresh_tuples({instance_name: set(tids)})
+        return True
 
-    def _add_tuple_block_delta(
-        self,
-        instance_name: str,
-        instance: TemporalInstance,
-        tid: Hashable,
-        others: Sequence[Hashable],
-    ) -> None:
-        """Pair variables, antisymmetry/totality and transitivity triples for
-        one new tuple against the *others* already in its entity block."""
-        for attribute in instance.schema.attributes:
-            domain = self._pair_domain.setdefault((instance_name, attribute), [])
-            for other in others:
-                forward = self.pair_name(instance_name, attribute, other, tid)
-                backward = self.pair_name(instance_name, attribute, tid, other)
-                self.cnf.variable(forward)
-                self.cnf.variable(backward)
-                domain.append((other, tid))
-                domain.append((tid, other))
-                self.cnf.add_named_clause([(forward, False), (backward, False)])
-                self.cnf.add_named_clause([(forward, True), (backward, True)])
-            for a in others:
-                for b in others:
-                    if a == b:
-                        continue
-                    for triple in ((a, b, tid), (a, tid, b), (tid, a, b)):
-                        self.cnf.add_implication(
-                            [
-                                (self.pair_name(instance_name, attribute, triple[0], triple[1]), True),
-                                (self.pair_name(instance_name, attribute, triple[1], triple[2]), True),
-                            ],
-                            (self.pair_name(instance_name, attribute, triple[0], triple[2]), True),
-                        )
+    def _encode_fresh_tuples(self, fresh: Dict[str, Set[Hashable]]) -> None:
+        """The additive delta for the tuples *fresh* (instance -> tuple ids)
+        that joined the encoded specification:
+
+        * per grown entity block, pair variables, antisymmetry, guarded
+          totality and transitivity for exactly the pairs/triples involving a
+          fresh tuple, plus unit clauses for any order pairs that touch one;
+        * denial groundings and copy implications restricted to supports
+          touching a fresh tuple, enumerated once for the whole batch;
+        * a fresh-generation re-encode of each grown block's value columns.
+        """
+        cnf = self.cnf
+        for name, added in fresh.items():
+            instance = self.full.instance(name)
+            added_by_eid: Dict[Any, List[Hashable]] = {}
+            for tid in added:
+                added_by_eid.setdefault(instance.tuple_by_tid(tid).eid, []).append(tid)
+            # order scaffolding for the grown blocks, one fresh tuple at a
+            # time (others = block minus the still-pending fresh tuples, so
+            # each new pair/triple is emitted exactly once)
+            for attribute in instance.schema.attributes:
+                for eid, new_in_block in added_by_eid.items():
+                    block = list(instance.entity_tids(eid))
+                    pending = set(new_in_block)
+                    for tid in [t for t in block if t in pending]:
+                        pending.discard(tid)
+                        others = [t for t in block if t != tid and t not in pending]
+                        for other in others:
+                            forward = self._pair(name, attribute, other, tid)
+                            backward = self._pair(name, attribute, tid, other)
+                            cnf.add_clause([-forward, -backward])
+                            cnf.add_clause(
+                                self._guards(name, (other, tid)) + [forward, backward]
+                            )
+                        for a in others:
+                            for b in others:
+                                if a == b:
+                                    continue
+                                cnf.add_clause(
+                                    [
+                                        -self._pair(name, attribute, a, b),
+                                        -self._pair(name, attribute, b, tid),
+                                        self._pair(name, attribute, a, tid),
+                                    ]
+                                )
+                                cnf.add_clause(
+                                    [
+                                        -self._pair(name, attribute, a, tid),
+                                        -self._pair(name, attribute, tid, b),
+                                        self._pair(name, attribute, a, b),
+                                    ]
+                                )
+                                cnf.add_clause(
+                                    [
+                                        -self._pair(name, attribute, tid, a),
+                                        -self._pair(name, attribute, a, b),
+                                        self._pair(name, attribute, tid, b),
+                                    ]
+                                )
+                for lower, upper in instance.order(attribute).pairs():
+                    if lower in added or upper in added:
+                        cnf.add_clause([self._pair(name, attribute, lower, upper)])
+            for constraint in self.full.constraints_for(name):
+                self._encode_denial_constraint(name, constraint, only_tids=added)
+            slots = self._value_slots.get(name)
+            if slots is None:
+                continue  # no value columns to keep current
+            for eid in added_by_eid:
+                generation = self._maximality_generation.get((name, eid), 0) + 1
+                self._maximality_generation[(name, eid)] = generation
+                entry = self._encode_block_maximality(name, instance, eid, generation)
+                for position, (slot_eid, _per_attribute) in enumerate(slots):
+                    if slot_eid == eid:
+                        slots[position] = entry
+                        break
+                else:
+                    slots.append(entry)
+        for copy_function in self.full.copy_functions:
+            self._encode_copy_function(copy_function, only_new=fresh)
 
     # ------------------------------------------------------------------ #
-    # Solving and decoding
+    # The shared solver and its gated passes
     # ------------------------------------------------------------------ #
     @property
     def solver(self) -> SolverBackend:
@@ -378,13 +500,52 @@ class CompletionEncoder:
             self._fed_clauses += 1
         return solver
 
+    def _deactivations(self) -> List[int]:
+        return [-literal for literal in self._activation_literals]
+
+    def _new_activation(self) -> int:
+        """A fresh activation literal, registered as open.  Clauses gated
+        behind it (``¬act ∨ …``) constrain only the solves that assume it;
+        every other solve assumes its negation until it is retired."""
+        self._activation_count += 1
+        literal = self.cnf.variable(("__act__", self._activation_count))
+        self._activation_literals.append(literal)
+        return literal
+
+    def _pass_assumptions(self, activation: int) -> List[int]:
+        """*activation* on, every other open pass off."""
+        return [activation] + [-o for o in self._activation_literals if o != activation]
+
+    def _retire_activation(self, literal: int) -> None:
+        """Permanently disable the clauses gated behind *literal* (a root
+        unit fed to the solver), so later solves need not assume its
+        negation.  A solver rebuilt from ``self.cnf`` lacks the unit, which
+        is sound: nothing assumes a retired literal, so its gated clauses
+        are satisfied by setting it false."""
+        if literal in self._activation_literals:
+            self._activation_literals.remove(literal)
+            self.solver.add_clause([-literal])
+
+    def add_gated_clause(self, named_literals: Iterable[Tuple[PairVariable, bool]]) -> int:
+        """Add a clause active only under a fresh activation literal, which is
+        returned; retire it with :meth:`_retire_activation` when done.  Every
+        variable must already be part of the encoding (a fresh unconstrained
+        variable would make the clause vacuous)."""
+        literals = [self._pair_literal(name, positive) for name, positive in named_literals]
+        activation = self._new_activation()
+        self.cnf.add_clause([-activation] + literals)
+        return activation
+
+    # ------------------------------------------------------------------ #
+    # Questions about the base specification
+    # ------------------------------------------------------------------ #
     def _solve_model(self) -> Optional[Model]:
         """One model of the current encoding, memoised until a clause is added
         (so ``solve()`` followed by ``satisfiable()`` costs a single solve)."""
         key = len(self.cnf.clauses)
         if self._cached_model is not None and self._cached_model[0] == key:
             return self._cached_model[1]
-        model = self.solver.solve()
+        model = self.solver.solve(self._selection_literals((), exact=True))
         self._cached_model = (key, model)
         return model
 
@@ -395,10 +556,8 @@ class CompletionEncoder:
             return None
         return self.decode(model)
 
-    def satisfiable(
-        self, assumptions: Optional[Iterable[Tuple[str, str, Hashable, Hashable]]] = None
-    ) -> bool:
-        """Whether a consistent completion (with the added constraints) exists.
+    def satisfiable(self, assumptions: Optional[Iterable[PairVariable]] = None) -> bool:
+        """Whether a consistent completion of the base specification exists.
 
         *assumptions*, when given, is an iterable of currency pairs
         ``(instance, attribute, lower, upper)`` forced true for this call only
@@ -407,16 +566,25 @@ class CompletionEncoder:
         """
         if assumptions is None:
             return self._solve_model() is not None
-        literals = []
-        for pair in assumptions:
-            name = self.pair_name(*pair)
-            if not self.cnf.has_variable(name):
-                # allocating a fresh unconstrained variable here would make
-                # the probe vacuously satisfiable — reject caller mistakes
-                # (cross-entity or unknown pairs are never encoded)
-                raise SolverError(f"currency pair {pair!r} is not part of the encoding")
-            literals.append(self.cnf.literal(name))
+        literals = (
+            self._deactivations()
+            + self._selection_literals((), exact=True)
+            + [self._pair_literal(pair) for pair in assumptions]
+        )
         return self.solver.solve(literals) is not None
+
+    def excludes_some_pair(self, pairs: Sequence[PairVariable]) -> bool:
+        """Whether some consistent completion of the base specification misses
+        at least one of *pairs* — COP's complement question, as one gated
+        clause on the warm solver (retired afterwards)."""
+        activation = self.add_gated_clause((pair, False) for pair in pairs)
+        try:
+            assumptions = self._pass_assumptions(activation) + self._selection_literals(
+                (), exact=True
+            )
+            return self.solver.solve(assumptions) is not None
+        finally:
+            self._retire_activation(activation)
 
     def decode(self, model: Dict[int, bool]) -> Dict[str, TemporalInstance]:
         """Turn a SAT model into a completion (name -> completed instance)."""
@@ -438,12 +606,82 @@ class CompletionEncoder:
             completion[name] = completed
         return completion
 
-    def iterate_completions(
-        self, limit: Optional[int] = None
-    ) -> Iterable[Dict[str, TemporalInstance]]:
-        """Enumerate consistent completions (distinct SAT models)."""
-        for model in iterate_models(self.cnf, limit=limit, backend=self.backend):
-            yield self.decode(model)
+    # ------------------------------------------------------------------ #
+    # Current databases
+    # ------------------------------------------------------------------ #
+    def current_databases(
+        self,
+        selection: Sequence[int] = (),
+        relations: Optional[Iterable[str]] = None,
+        limit: Optional[int] = None,
+    ) -> Iterator[Dict[str, NormalInstance]]:
+        """The realizable current databases of *relations* (all instances by
+        default), deduplicated by value, for the candidate imports of
+        *selection* (the base specification when empty).
+
+        Runs on the shared solver: the selection is fixed through *exact*
+        assumptions and blocking clauses cover the **value** variables of
+        *relations* only, gated behind this pass's activation literal — the
+        learnt-clause database stays warm between models and between passes,
+        concurrently consumed passes never see each other's blocking clauses,
+        and distinct maximal tuples carrying equal values are yielded once.
+        Yielded databases share interned instances; callers must not mutate
+        them."""
+        names = list(relations) if relations is not None else list(self.full.instances)
+        for name in names:
+            self.full.instance(name)  # validates the name
+        self.encode_value_columns(names)
+        fixed = self._selection_literals(selection, exact=True)
+        projection = [
+            value_var
+            for name in names
+            for _eid, per_attribute in self._value_slots[name]
+            for _attribute, value_column in per_attribute
+            for _value, value_var in value_column
+        ]
+        activation = self._new_activation()
+        solver = self.solver
+        produced = 0
+        try:
+            while True:
+                model = self.solver.solve(self._pass_assumptions(activation) + fixed)
+                if model is None:
+                    return
+                blocking = [-activation] + [
+                    -var if model.get(var, False) else var for var in projection
+                ]
+                database = self._decode_current(model, names)
+                if not solver.add_clause(blocking):
+                    return
+                yield database
+                produced += 1
+                if limit is not None and produced >= limit:
+                    return
+        finally:
+            self._retire_activation(activation)
+
+    def _decode_current(self, model: Model, names: Sequence[str]) -> Dict[str, NormalInstance]:
+        database: Dict[str, NormalInstance] = {}
+        for name in names:
+            instance = self.full.instance(name)
+            schema = instance.schema
+            rows: List[Tuple[Any, Dict[str, Any]]] = []
+            for eid, per_attribute in self._value_slots[name]:
+                values: Dict[str, Any] = {schema.eid: eid}
+                for attribute, value_column in per_attribute:
+                    chosen_value: Any = None
+                    found = False
+                    for value, value_var in value_column:
+                        if model.get(value_var, False):
+                            chosen_value = value
+                            found = True
+                            break
+                    if not found:  # pragma: no cover - defensive
+                        chosen_value = instance.entity_block(eid)[0][attribute]
+                    values[attribute] = chosen_value
+                rows.append((("lst", eid), values))
+            database[name] = self._instance_cache.intern_rows(schema, rows)
+        return database
 
     # ------------------------------------------------------------------ #
     # Pickling (warm-state snapshots)
@@ -452,9 +690,12 @@ class CompletionEncoder:
         """Degrade gracefully for engines whose warm state cannot pickle.
 
         When the active backend supports snapshots the solver travels with
-        the encoder (PR 8's warm-state pipeline).  Otherwise the solver is
-        dropped and the feed cursor reset, so the first question after a
-        restore lazily rebuilds a cold engine from ``self.cnf``.
+        the encoder.  Otherwise the solver is dropped and the feed cursor
+        reset, so the first question after a restore lazily rebuilds a cold
+        engine from ``self.cnf``.  Dropping the engine also drops the
+        blocking clauses and retirement units fed straight to it, which is
+        sound: they are all gated by activation literals that later solves
+        either assume negative or never assume.
         """
         state = dict(self.__dict__)
         solver = state.get("_solver")
@@ -463,10 +704,3 @@ class CompletionEncoder:
             state["_fed_clauses"] = 0
             state["_cached_model"] = None
         return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        # encoders pickled before the backend seam existed default to the
-        # reference engine
-        if "backend" not in self.__dict__:
-            self.backend = "reference"

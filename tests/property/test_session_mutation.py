@@ -48,6 +48,11 @@ PRESERVATION_SEEDS = 60
 #: seeds for the long-stream sweep (32-mutation streams, windowed re-asks);
 #: runs per registered solver backend via the session-scoped fixture.
 STREAM_SEEDS = 200
+#: extra seeds of the base sweep whose specifications always carry denial
+#: constraints and whose mutations always add a tuple: CCQA enumerates on the
+#: value columns of a base encoder that the tuple deltas extend in place (no
+#: preservation question is asked, so no search space is ever built)
+ENCODER_SEEDS = range(5000, 5030)
 
 
 # --------------------------------------------------------------------------- #
@@ -191,13 +196,14 @@ def _check_preservation_problems(seed, session, rebuilt, query, k=1):
 
 def _run_base_seed(seed):
     rng = random.Random(seed * 7919)
+    extends_encoder = seed in ENCODER_SEEDS
     config = SyntheticConfig(
         entities=2,
         tuples_per_entity=2,
         attributes=2,
         order_density=0.4,
         value_domain=3,
-        with_constraints=bool(seed % 2),
+        with_constraints=extends_encoder or bool(seed % 2),
         relations=1 + (seed % 2),
         with_copy_functions=seed % 4 >= 2,
         seed=seed,
@@ -210,10 +216,15 @@ def _run_base_seed(seed):
     # incremental encoder/enumerator paths rather than fresh builds
     _check_base_problems(seed, session, rebuilt, query)
     kinds = [("order", "tuple"), ("denial", "order"), ("tuple", "denial")][seed % 3]
+    if extends_encoder:
+        kinds = ("tuple", "order", "denial")
     for kind, payload in _mutations(spec, rng, kinds, tag=f"{seed}"):
         _apply_to_session(session, kind, payload)
         rebuilt = _apply_to_spec(rebuilt, kind, payload)
         _check_base_problems(seed, session, rebuilt, query)
+    if extends_encoder:
+        assert session._space is None, f"seed {seed}: a search space was built"
+        assert session.mutation_stats()["encoder_extended"] > 0, f"seed {seed}"
 
 
 def _run_preservation_seed(seed):
@@ -323,7 +334,7 @@ def test_long_stream_equals_rebuild(seed, backend):
 # --------------------------------------------------------------------------- #
 # Tier-1 sweeps (≥200 seeds overall)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", range(BASE_SEEDS))
+@pytest.mark.parametrize("seed", [*range(BASE_SEEDS), *ENCODER_SEEDS])
 def test_mutate_equals_rebuild_base_problems(seed):
     _run_base_seed(seed)
 

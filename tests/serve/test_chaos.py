@@ -153,14 +153,16 @@ class TestPoison:
         async def scenario():
             async with serve() as svc:
                 bad = ProblemRequest("ccqa", query=lambda: None)
-                with pytest.raises(Exception) as excinfo:
-                    await svc.submit(spec, bad)
+                rejected = await svc.submit(spec, bad)
                 healthy = await svc.submit(spec, ProblemRequest("cps"))
-                return excinfo.value, healthy
+                return rejected, healthy, svc.stats()["supervisor"]["respawns"]
 
-        error, healthy = run(scenario())
+        rejected, healthy, respawns = run(scenario())
+        # the request fails alone, as a structured answer
+        assert not rejected.ok and rejected.failure is not None
+        assert not rejected.failure.retryable
         # the poison payload never reached a worker, so nothing crashed
-        assert healthy.ok
+        assert healthy.ok and respawns == 0
 
 
 class TestDeadlines:

@@ -5,12 +5,13 @@ tests; assertions about router/supervisor counters are therefore *relative* —
 they measure deltas, never absolute totals."""
 
 import asyncio
+import random
 import time
 
 import pytest
 
 from repro.serve import Mutation, ReasoningService
-from repro.session import ProblemRequest, ReasoningSession
+from repro.session import ProblemRequest, ReasoningSession, answer_request
 from repro.solvers.budget import Budget
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload
@@ -112,12 +113,11 @@ class TestAffinity:
             service.submit(spec, Mutation("add_order", args=("Emp", "salary", "s1", "s3")))
         )
         assert mutated.ok, mutated.error
-        before = service.stats()["router"]
         twin = company.company_specification()
         answer = run(service.submit(twin, ProblemRequest("cop", args=("Emp", ORDER))))
-        after = service.stats()["router"]
-        # the twin no longer matches the mutated entry: fresh session, fresh key
-        assert after["misses"] == before["misses"] + 1
+        # the twin never joins the mutated entry, only an unmutated session
+        assert service._router.entry_for(spec).mutated
+        assert not service._router.entry_for(twin).mutated
         oracle = ReasoningSession(company.company_specification())
         assert answer.value == oracle.certain_ordering("Emp", ORDER)
 
@@ -133,6 +133,71 @@ class TestAffinity:
         assert baseline.value == oracle.certain_ordering("Emp", ORDER)
         oracle.add_order("Emp", "salary", "s1", "s3")
         assert after.value == oracle.certain_ordering("Emp", ORDER) is True
+
+    def test_a_twin_write_stays_in_its_own_session(self):
+        """Two structurally equal specifications: a write through one handle
+        must neither reach the other's answers nor be lost to its own."""
+        a = company.company_specification()
+        b = company.company_specification()
+        pair = {"salary": [("s1", "s2")]}
+        fresh = ReasoningService(processes=1)
+        try:
+            assert run(fresh.submit(a, ProblemRequest("cps"))).ok
+            written = run(
+                fresh.submit(b, Mutation("add_order", args=("Emp", "salary", "s1", "s2")))
+            )
+            assert written.ok, written.error
+            answer_a = run(fresh.submit(a, ProblemRequest("cop", args=("Emp", pair))))
+            answer_b = run(fresh.submit(b, ProblemRequest("cop", args=("Emp", pair))))
+        finally:
+            fresh.close()
+        oracle = ReasoningSession(company.company_specification())
+        assert answer_a.value == oracle.certain_ordering("Emp", pair) is False
+        oracle.add_order("Emp", "salary", "s1", "s2")
+        assert answer_b.value == oracle.certain_ordering("Emp", pair) is True
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_interleaved_twin_handles_match_one_oracle_each(self, service, seed):
+        """Three handles on equal specifications interleave asks and writes
+        through one service; each handle answers like its own session."""
+        rng = random.Random(seed)
+        handles = [company.company_specification() for _ in range(3)]
+        oracles = [ReasoningSession(company.company_specification()) for _ in handles]
+        salaries = company.company_specification().instance("Emp").entity_tids(company.MARY)
+        for step in range(10):
+            index = rng.randrange(len(handles))
+            roll = rng.random()
+            if roll < 0.25:
+                lower, upper = rng.sample(salaries, 2)
+                item = Mutation("add_order", args=("Emp", "salary", lower, upper))
+            elif roll < 0.4:
+                values = {
+                    "EID": company.MARY, "FN": "Mary", "LN": rng.choice(["Smith", "Dupont"]),
+                    "address": "2 Small St", "salary": rng.randrange(50, 100),
+                    "status": rng.choice(["single", "married"]),
+                }
+                item = Mutation("add_tuple", args=("Emp", f"twin_{seed}_{step}", values))
+            else:
+                pair = tuple(rng.sample(salaries, 2))
+                item = rng.choice(
+                    [
+                        ProblemRequest("cps"),
+                        ProblemRequest("cop", args=("Emp", {"salary": [pair]})),
+                        ProblemRequest("ccqa", query=company.paper_queries()["Q1"]),
+                    ]
+                )
+            answer = run(service.submit(handles[index], item))
+            try:
+                if isinstance(item, Mutation):
+                    item.apply(oracles[index])
+                else:
+                    expected = answer_request(oracles[index], item)
+            except Exception:  # noqa: BLE001 - the service must fail alike
+                assert not answer.ok, f"seed {seed} step {step}: {item}"
+                continue
+            assert answer.ok, f"seed {seed} step {step}: {answer.error}"
+            if not isinstance(item, Mutation):
+                assert answer.value == expected, f"seed {seed} step {step}: {item}"
 
 
 class TestFailuresAreStructured:

@@ -7,6 +7,7 @@ and durable-session resume from an on-disk snapshot store across service
 restarts."""
 
 import asyncio
+import dataclasses
 import pickle
 
 import pytest
@@ -234,6 +235,36 @@ class TestDurableResume:
         # exactly the folded-in mutations are durable
         expected = oracle_after(MUTATIONS[:watermark]).certain_ordering("Emp", ORDER)
         assert answer.value == expected
+
+    def test_a_persisted_snapshot_of_another_format_is_not_resumed(self, tmp_path):
+        from repro.session.snapshot import (
+            SNAPSHOT_FORMAT,
+            SnapshotStore,
+            specification_fingerprint,
+        )
+
+        directory = str(tmp_path)
+        spec = company.company_specification()
+        pair = {"salary": [("s1", "s2")]}  # certain only after MUTATIONS[0]
+        donor = oracle_after(MUTATIONS[:1])
+        stale = dataclasses.replace(donor.snapshot(), format_version=SNAPSHOT_FORMAT - 1)
+        SnapshotStore(directory).store(
+            specification_fingerprint(spec), pickle.dumps((1, stale.to_bytes()))
+        )
+
+        async def scenario():
+            async with ReasoningService(
+                processes=1, retries=0, snapshot_dir=directory
+            ) as svc:
+                entry = svc._router.entry_for(spec)
+                answer = await svc.submit(spec, ProblemRequest("cop", args=("Emp", pair)))
+                return entry, answer, svc._router.snapshot_resumes
+
+        entry, answer, resumes = run(scenario())
+        assert resumes == 0
+        assert entry.log_base == 0 and entry.snapshot is None
+        assert answer.ok, answer.error
+        assert answer.value == oracle_after([]).certain_ordering("Emp", pair) is False
 
     def test_corrupt_persisted_payload_falls_back_to_cold(self, tmp_path):
         from repro.session.snapshot import SnapshotStore, specification_fingerprint

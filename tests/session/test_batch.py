@@ -170,3 +170,23 @@ class TestParallel:
         assert stats["supervisor"]["respawns"] == 0
         assert (stats["router"]["hits"], stats["router"]["misses"]) == (1, 2)
         assert all(r.ok for r in first + second)
+
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    def test_an_unpicklable_request_fails_alone(self, mode):
+        """A request that cannot cross the process boundary fails by itself;
+        its neighbours are answered in both modes."""
+        spec = random_specification(SyntheticConfig(seed=3, with_constraints=True))
+        stream = [
+            (spec, ProblemRequest("cps")),
+            (spec, ProblemRequest("ccqa", query=lambda: None)),
+            (spec, ProblemRequest("cps")),
+        ]
+        options = {"serial": True} if mode == "serial" else {"processes": 1}
+        with BatchDriver(**options) as driver:
+            answers = driver.run(stream)
+        expected = is_consistent(
+            random_specification(SyntheticConfig(seed=3, with_constraints=True))
+        )
+        assert [answers[0].value, answers[2].value] == [expected, expected]
+        assert answers[0].ok and answers[2].ok
+        assert not answers[1].ok and answers[1].failure is not None

@@ -212,11 +212,15 @@ class TestMutationDependencyMap:
         session = ReasoningSession(spec)
         session.consistent(method="sat")
         encoder = session.encoder
-        session.cpp(query)
-        space = session.space
         block = spec.instance("R0").entity_tids("e0")
         session.add_order("R0", "a0", block[0], block[1])
         assert session._encoder is encoder
+        session.cpp(query)
+        space = session.space
+        # the space answers the base problems too, so it releases the encoder
+        assert session._encoder is None
+        assert session.encoder is space
+        session.add_order("R0", "a1", block[0], block[1])
         assert session._space is space
         assert session._chase is None
         assert session.consistent(method="sat") == is_consistent(spec.copy(), method="sat")
@@ -272,10 +276,11 @@ class TestMutationDependencyMap:
         assert session.consistent(method="sat") == is_consistent(rebuilt, method="sat")
         assert session.deterministic("Emp") == is_deterministic(rebuilt, "Emp")
 
-    def test_add_tuple_rebuilds_an_encoder_with_maximality(self, company_spec, paper_queries):
+    def test_add_tuple_extends_an_encoder_with_value_columns(self, company_spec, paper_queries):
         session = ReasoningSession(company_spec)
         session.certain_answers(paper_queries["Q1"], method="candidates")
-        assert session.encoder.maximality_encoded  # the enumerator marked it
+        enumerators = dict(session._enumerators)
+        assert enumerators  # CCQA enumerated on the encoder's value columns
         encoder = session.encoder
         schema = company_spec.instance("Emp").schema
         session.add_tuple(
@@ -293,8 +298,11 @@ class TestMutationDependencyMap:
                 },
             ),
         )
-        assert session._encoder is None  # full-rebuild fallback
-        assert not session._enumerators
+        # the grown block's value columns were re-encoded in place: the
+        # encoder and its enumerators survive
+        assert session._encoder is encoder
+        assert session._enumerators == enumerators
+        assert session.mutation_stats()["encoder_extended"] == 1
         rebuilt = company.company_specification()
         rebuilt.instance("Emp").add(
             RelationTuple(
@@ -313,7 +321,7 @@ class TestMutationDependencyMap:
         assert session.certain_answers(
             paper_queries["Q1"], method="candidates"
         ) == certain_current_answers(paper_queries["Q1"], rebuilt, method="candidates")
-        assert encoder is not session.encoder
+        assert encoder is session.encoder
 
     def test_add_copy_import_matches_apply_imports(self):
         from repro.preservation.extensions import apply_imports

@@ -296,9 +296,7 @@ class TestMutationStats:
         "space_extended",
         "space_rebuilt",
         "encoder_extended",
-        "encoder_rebuilt",
         "enumerators_retained",
-        "enumerators_dropped",
         "consistency_rechecks",
         "footprint_relations",
         "footprint_blocks",

@@ -10,6 +10,7 @@ lives here too — the property sweep exercises the same path in bulk.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -28,6 +29,7 @@ from repro.session import (
     snapshot_bytes,
     specification_fingerprint,
 )
+from repro.session.snapshot import SNAPSHOT_FORMAT
 from repro.workloads import company
 from repro.workloads.synthetic import preservation_workload
 
@@ -303,6 +305,20 @@ class TestSnapshotStore:
         store.store(fingerprint, b"not a pickle")
         assert store.load_session(company_spec) is None
         assert store.entries() == []  # the torn file was unlinked
+
+    def test_another_format_is_a_miss(self, tmp_path, paper_queries):
+        store = SnapshotStore(str(tmp_path))
+        snapshot = _warm_company_session(paper_queries).snapshot()
+        stale = dataclasses.replace(snapshot, format_version=SNAPSHOT_FORMAT + 1)
+        store.store(specification_fingerprint(snapshot.specification), stale.to_bytes())
+        assert store.load_session(company.company_specification()) is None
+        assert store.stats()["misses"] == 1
+
+    def test_a_snapshot_without_a_format_is_refused(self, paper_queries):
+        snapshot = _warm_company_session(paper_queries).snapshot()
+        del snapshot.__dict__["format_version"]  # as pickled before the field
+        with pytest.raises(SpecificationError, match="format"):
+            SessionSnapshot.from_bytes(pickle.dumps(snapshot))
 
     def test_writes_leave_no_temp_droppings(self, tmp_path, paper_queries):
         store = SnapshotStore(str(tmp_path))

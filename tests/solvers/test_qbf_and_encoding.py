@@ -7,6 +7,7 @@ from repro.core.schema import RelationSchema
 from repro.core.specification import Specification
 from repro.solvers.order_encoding import CompletionEncoder
 from repro.solvers.qbf import evaluate_qbf, exists, forall
+from repro.solvers.sat import iterate_models
 from repro.workloads import company
 
 
@@ -52,22 +53,25 @@ class TestCompletionEncoder:
 
     def test_require_pair_filters_models(self, company_spec):
         encoder = CompletionEncoder(company_spec)
-        encoder.require_pair("Emp", "salary", "s3", "s1")  # contradicts ϕ1
-        assert not encoder.satisfiable()
+        # contradicts ϕ1
+        assert not encoder.satisfiable([("Emp", "salary", "s3", "s1")])
 
     def test_forbid_all_of(self, company_spec):
         encoder = CompletionEncoder(company_spec)
         # s1 ≺_salary s3 holds in every completion, so forbidding it alone is UNSAT
-        encoder.forbid_all_of([("Emp", "salary", "s1", "s3")])
-        assert not encoder.satisfiable()
+        activation = encoder.add_gated_clause([(("Emp", "salary", "s1", "s3"), False)])
+        assert encoder.solver.solve([activation]) is None
+
+    @staticmethod
+    def _maximal(specification, eid, tid):
+        block = specification.instance("Emp").entity_tids(eid)
+        return [("Emp", "salary", other, tid) for other in block if other != tid]
 
     def test_require_maximal(self, company_spec):
         encoder = CompletionEncoder(company_spec)
-        encoder.require_maximal("Emp", "salary", company.MARY, "s3")
-        assert encoder.satisfiable()
+        assert encoder.satisfiable(self._maximal(company_spec, company.MARY, "s3"))
         blocked = CompletionEncoder(company_spec)
-        blocked.require_maximal("Emp", "salary", company.MARY, "s1")
-        assert not blocked.satisfiable()
+        assert not blocked.satisfiable(self._maximal(company_spec, company.MARY, "s1"))
 
     def test_iterate_completions_all_consistent(self):
         schema = RelationSchema("R", ("A",))
@@ -77,7 +81,7 @@ class TestCompletionEncoder:
         )
         spec = Specification({"R": instance})
         encoder = CompletionEncoder(spec)
-        completions = list(encoder.iterate_completions())
+        completions = [encoder.decode(model) for model in iterate_models(encoder.cnf)]
         assert len(completions) == 2
         assert all(spec.is_consistent_completion(c) for c in completions)
 
@@ -90,7 +94,7 @@ class TestCompletionEncoder:
         # no clause was added, so no further search happened
         assert encoder.solver.stats()["decisions"] == decisions
         # adding a clause invalidates the cache and re-solves
-        encoder.require_pair("Emp", "salary", "s3", "s1")  # contradicts ϕ1
+        encoder.cnf.add_clause([encoder.cnf.literal(("Emp", "salary", "s3", "s1"))])  # contradicts ϕ1
         assert not encoder.satisfiable()
         assert encoder.solver.stats()["decisions"] >= decisions
 
