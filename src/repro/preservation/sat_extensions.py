@@ -32,10 +32,14 @@ chained imports        one implication ``selector(derived) ⟹
                        every model is downward closed and chained
                        specifications run CPP/ECP/BCP entirely in-space
 completion of S^e      the encoder's pair, denial and copy clauses over the
-                       maximal extension; totality, groundings and copy
+                       maximal extension.  The pair variables order the
+                       whole block, absent imports included: a total order
+                       of the present tuples together with the acyclic
+                       given order always extends to the whole block, so
+                       this loses no completion.  Groundings and copy
                        implications are gated on the selectors of the
-                       imported tuples involved, so absent tuples degrade to
-                       unconstrained junk
+                       imported tuples involved, so absent tuples constrain
+                       nothing else
 ``LST(D^c)``           the encoder's value columns for every instance, with
                        ``max ⟹ present`` for imported tuples; current
                        databases are enumerated per selection as models

@@ -38,10 +38,6 @@ class CNF:
             self._index_to_name.append(name)
         return index
 
-    def has_variable(self, name: Hashable) -> bool:
-        """Whether a variable called *name* exists."""
-        return name in self._name_to_index
-
     def literal(self, name: Hashable, positive: bool = True) -> Literal:
         """A literal for the named variable."""
         index = self.variable(name)
@@ -68,7 +64,7 @@ class CNF:
             # empty clause: formula is unsatisfiable; keep it explicit
             self.clauses.append(clause)
             return
-        if any(lit == 0 for lit in clause):
+        if 0 in clause:
             raise SolverError("0 is not a valid literal")
         self.clauses.append(clause)
 

@@ -4,14 +4,17 @@ The encoding follows the guess-and-check algorithm in the proof of
 Theorem 3.1: a completion is a choice, per instance and attribute, of a total
 order on every entity block that extends the given partial currency order,
 satisfies the (grounded) denial constraints, and is ≺-compatible with the copy
-functions.  Each potential currency pair becomes one Boolean variable
+functions.  Each *unordered* pair of same-entity tuples becomes one Boolean
+variable, named after the orientation allocated first
 
     ``(instance_name, attribute, lower_tid, upper_tid)``
 
-and the well-formedness conditions become clauses:
+whose positive literal reads ``lower ≺ upper`` and whose negative literal
+reads ``upper ≺ lower`` — antisymmetry and totality hold by construction.
+The remaining well-formedness conditions become clauses:
 
-* antisymmetry and totality within an entity block,
-* transitivity,
+* transitivity: two clauses per unordered triple of a block, forbidding its
+  two cyclic orientations (a tournament without 3-cycles is a total order),
 * unit clauses for the given partial orders,
 * grounded denial-constraint implications,
 * copy-function ≺-compatibility implications.
@@ -96,6 +99,9 @@ class CompletionEncoder:
         #: decoded current instances, interned by value so that databases
         #: sharing an instance share its column indexes too
         self._instance_cache = CurrentDatabaseCache()
+        #: both orientations of every encoded pair -> its literal (+v for
+        #: the orientation allocated first, -v for the other)
+        self._pairs: Dict[PairVariable, int] = {}
         self._build()
 
     @property
@@ -126,16 +132,50 @@ class CompletionEncoder:
     # Encoding
     # ------------------------------------------------------------------ #
     def _pair(self, instance: str, attribute: str, lower: Hashable, upper: Hashable) -> int:
-        """The variable of ``lower ≺_attribute upper`` in *instance*."""
-        return self.cnf.variable((instance, attribute, lower, upper))
+        """The literal of ``lower ≺_attribute upper`` in *instance*.
+
+        The first orientation asked for names the pair's one variable; the
+        other orientation is its negation.  Which comes first follows the
+        encoding's (deterministic) iteration order, never a comparison of
+        tids, which may have mixed types."""
+        key = (instance, attribute, lower, upper)
+        literal = self._pairs.get(key)
+        if literal is None:
+            literal = self.cnf.variable(key)
+            self._pairs[key] = literal
+            self._pairs[(instance, attribute, upper, lower)] = -literal
+        return literal
 
     def _pair_literal(self, pair: PairVariable, positive: bool = True) -> int:
-        if not self.cnf.has_variable(pair):
+        literal = self._pairs.get(pair)
+        if literal is None:
             # allocating a fresh unconstrained variable here would make the
             # probe vacuously satisfiable — reject caller mistakes
             # (cross-entity or unknown pairs are never encoded)
             raise SolverError(f"currency pair {pair!r} is not part of the encoding")
-        return self.cnf.literal(pair, positive)
+        return literal if positive else -literal
+
+    def _encode_block(
+        self, name: str, attribute: str, old: Sequence[Hashable], new: Sequence[Hashable]
+    ) -> None:
+        """Pair variables and transitivity for a block of tuples *old* +
+        *new* whose *old* part is already encoded: every pair and every
+        unordered triple involving a *new* tuple, each exactly once."""
+        add_clause = self.cnf.add_clause
+        pair = self._pair
+        done = list(old)
+        # below[j][i]: the literal of done[i] ≺ done[j], for i < j
+        below = [[pair(name, attribute, a, b) for a in done[:j]] for j, b in enumerate(done)]
+        for tid in new:
+            to_tid = [pair(name, attribute, other, tid) for other in done]
+            # a tournament is a total order iff it has no 3-cycle: forbid
+            # a ≺ b ≺ tid ≺ a and a ≺ tid ≺ b ≺ a
+            for i, j in combinations(range(len(done)), 2):
+                ab, a_tid, b_tid = below[j][i], to_tid[i], to_tid[j]
+                add_clause([-ab, -b_tid, a_tid])
+                add_clause([ab, b_tid, -a_tid])
+            below.append(to_tid)
+            done.append(tid)
 
     def _build(self) -> None:
         full = self.full
@@ -148,38 +188,16 @@ class CompletionEncoder:
             self._encode_copy_function(copy_function)
 
     def _encode_instance(self, name: str, instance: TemporalInstance) -> None:
-        cnf = self.cnf
         for attribute in instance.schema.attributes:
-            order = instance.order(attribute)
+            # totality and transitivity hold for the whole block, absent
+            # candidate imports included: a total order of the present tuples
+            # and the (acyclic, transitively closed) given order always extend
+            # to one of the whole block
             for eid in instance.entities():
-                block = instance.entity_tids(eid)
-                for lower, upper in combinations(block, 2):
-                    forward = self._pair(name, attribute, lower, upper)
-                    backward = self._pair(name, attribute, upper, lower)
-                    # antisymmetry holds for any total order of the block,
-                    # present tuples or not — assert it outright
-                    cnf.add_clause([-forward, -backward])
-                    # totality only binds pairs of *present* tuples
-                    cnf.add_clause(
-                        self._guards(name, (lower, upper)) + [forward, backward]
-                    )
-                # transitivity also survives absent tuples (any total order
-                # of the block satisfies it) and sharpens propagation
-                for a in block:
-                    for b in block:
-                        for c in block:
-                            if len({a, b, c}) != 3:
-                                continue
-                            cnf.add_clause(
-                                [
-                                    -self._pair(name, attribute, a, b),
-                                    -self._pair(name, attribute, b, c),
-                                    self._pair(name, attribute, a, c),
-                                ]
-                            )
+                self._encode_block(name, attribute, (), instance.entity_tids(eid))
             # the given partial currency order must be extended
-            for lower, upper in order.pairs():
-                cnf.add_clause([self._pair(name, attribute, lower, upper)])
+            for lower, upper in instance.order(attribute).pairs():
+                self.cnf.add_clause([self._pair(name, attribute, lower, upper)])
 
     def _same_entity(
         self, instance: TemporalInstance, lower: Hashable, upper: Hashable
@@ -307,10 +325,11 @@ class CompletionEncoder:
         """``max(t)`` ⟺ t is the ≺-greatest *present* tuple of its block.
 
         Encoded as ``max(t) ⟹ present(t)``, ``max(t) ∧ present(u) ⟹ u ≺ t``
-        and one at-least-one clause per (entity, attribute); with totality and
-        antisymmetry on present tuples this pins exactly the true maximum, so
-        the maximality variables are fully determined by the order (and the
-        selection) and exactly one holds per (entity, attribute).
+        and one at-least-one clause per (entity, attribute); the pair
+        variables order every two tuples of the block, so this pins exactly
+        the true maximum: the maximality variables are fully determined by
+        the order (and the selection) and exactly one holds per (entity,
+        attribute).
 
         On top, one *value* variable per (entity, attribute, value) is defined
         as the disjunction of the column's maximality variables carrying that
@@ -408,9 +427,9 @@ class CompletionEncoder:
         """The additive delta for the tuples *fresh* (instance -> tuple ids)
         that joined the encoded specification:
 
-        * per grown entity block, pair variables, antisymmetry, guarded
-          totality and transitivity for exactly the pairs/triples involving a
-          fresh tuple, plus unit clauses for any order pairs that touch one;
+        * per grown entity block, pair variables and transitivity for exactly
+          the pairs/triples involving a fresh tuple, plus unit clauses for
+          any order pairs that touch one;
         * denial groundings and copy implications restricted to supports
           touching a fresh tuple, enumerated once for the whole batch;
         * a fresh-generation re-encode of each grown block's value columns.
@@ -421,48 +440,18 @@ class CompletionEncoder:
             added_by_eid: Dict[Any, List[Hashable]] = {}
             for tid in added:
                 added_by_eid.setdefault(instance.tuple_by_tid(tid).eid, []).append(tid)
-            # order scaffolding for the grown blocks, one fresh tuple at a
-            # time (others = block minus the still-pending fresh tuples, so
-            # each new pair/triple is emitted exactly once)
+            # order scaffolding for the grown blocks: the block minus its
+            # fresh tuples is encoded already
             for attribute in instance.schema.attributes:
                 for eid, new_in_block in added_by_eid.items():
-                    block = list(instance.entity_tids(eid))
+                    block = instance.entity_tids(eid)
                     pending = set(new_in_block)
-                    for tid in [t for t in block if t in pending]:
-                        pending.discard(tid)
-                        others = [t for t in block if t != tid and t not in pending]
-                        for other in others:
-                            forward = self._pair(name, attribute, other, tid)
-                            backward = self._pair(name, attribute, tid, other)
-                            cnf.add_clause([-forward, -backward])
-                            cnf.add_clause(
-                                self._guards(name, (other, tid)) + [forward, backward]
-                            )
-                        for a in others:
-                            for b in others:
-                                if a == b:
-                                    continue
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, a, b),
-                                        -self._pair(name, attribute, b, tid),
-                                        self._pair(name, attribute, a, tid),
-                                    ]
-                                )
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, a, tid),
-                                        -self._pair(name, attribute, tid, b),
-                                        self._pair(name, attribute, a, b),
-                                    ]
-                                )
-                                cnf.add_clause(
-                                    [
-                                        -self._pair(name, attribute, tid, a),
-                                        -self._pair(name, attribute, a, b),
-                                        self._pair(name, attribute, tid, b),
-                                    ]
-                                )
+                    self._encode_block(
+                        name,
+                        attribute,
+                        [t for t in block if t not in pending],
+                        [t for t in block if t in pending],
+                    )
                 for lower, upper in instance.order(attribute).pairs():
                     if lower in added or upper in added:
                         cnf.add_clause([self._pair(name, attribute, lower, upper)])
@@ -588,22 +577,24 @@ class CompletionEncoder:
 
     def decode(self, model: Dict[int, bool]) -> Dict[str, TemporalInstance]:
         """Turn a SAT model into a completion (name -> completed instance)."""
-        named = self.cnf.decode_model(model)
         completion: Dict[str, TemporalInstance] = {}
         for name, instance in self.specification.instances.items():
             completed = TemporalInstance(instance.schema, instance.tuples())
             for attribute, order in instance.orders().items():
                 for lower, upper in order.pairs():
                     completed.add_order(attribute, lower, upper)
-            for variable, value in named.items():
-                if not value or not isinstance(variable, tuple) or len(variable) != 4:
-                    continue
-                var_instance, attribute, lower, upper = variable
-                if var_instance != name:
-                    continue
-                if not completed.precedes(attribute, lower, upper):
-                    completed.add_order(attribute, lower, upper)
             completion[name] = completed
+        for (name, attribute, lower, upper), literal in self._pairs.items():
+            if literal < 0:
+                continue  # each variable once, under its first orientation
+            completed = completion.get(name)
+            # pairs over candidate imports are not part of the base instance
+            if completed is None or not (completed.has_tid(lower) and completed.has_tid(upper)):
+                continue
+            if not model.get(literal, False):
+                lower, upper = upper, lower
+            if not completed.precedes(attribute, lower, upper):
+                completed.add_order(attribute, lower, upper)
         return completion
 
     # ------------------------------------------------------------------ #

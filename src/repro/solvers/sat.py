@@ -289,17 +289,19 @@ class Solver:
             return False
         if self._trail_lim:  # defensive: callers only add between solves
             self._cancel_until(0)
+        if 0 in literals:
+            raise SolverError("0 is not a valid literal")
+        if literals:
+            self.ensure_vars(max(map(abs, literals)))
+        assign = self._assign
         lits: List[int] = []
         seen = set()
         for lit in literals:
-            if lit == 0:
-                raise SolverError("0 is not a valid literal")
-            self.ensure_vars(lit if lit > 0 else -lit)
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = self._assign[lit]
+            value = assign[lit]
             if value == 1:
                 return True  # already satisfied at the root level
             if value == -1:

@@ -42,7 +42,7 @@ from repro.preservation.bcp import (
 )
 from repro.preservation.cpp import find_violating_extension, is_currency_preserving
 from repro.preservation.ecp import currency_preserving_extension_exists, maximal_extension
-from repro.preservation.extensions import apply_imports
+from repro.preservation.extensions import apply_imports, candidate_closure
 from repro.preservation.sat_extensions import ExtensionSearchSpace
 from repro.query.ast import SPQuery
 from repro.query.engine import QueryEngine
@@ -357,3 +357,62 @@ def test_sat_and_naive_engines_agree_extended(seed, backend):
     """400 further seeds for the full property sweep (slow tier)."""
     specification, query = _generate(seed)
     _check_case(seed, specification, query, backend=backend)
+
+
+def _between_case():
+    """A candidate import *a* whose ≺-compatibility places it between the
+    two mapped target tuples, ``p1 ≺_B a ≺_B p2``, plus a monotone denial
+    constraint that makes *a* the most current ``A`` once imported.
+
+    The search space orders every block totally, the absent *a* included;
+    the base specification must not feel it."""
+    schema_s = RelationSchema("S", ("A", "B"))
+    schema_t = RelationSchema("T", ("A", "B"))
+    source = TemporalInstance.from_rows(
+        schema_s,
+        {
+            "s1": {"EID": "e", "A": 1, "B": 0},
+            "sa": {"EID": "e", "A": 4, "B": 3},
+            "s2": {"EID": "e", "A": 3, "B": 1},
+        },
+        orders={"B": [("s1", "sa"), ("sa", "s2")]},
+    )
+    target = TemporalInstance.from_rows(
+        schema_t,
+        {"p1": {"EID": "e", "A": 1, "B": 0}, "p2": {"EID": "e", "A": 3, "B": 1}},
+    )
+    copy_function = CopyFunction(
+        "rho",
+        CopySignature(schema_t, ("A", "B"), schema_s, ("A", "B")),
+        target="T",
+        source="S",
+        mapping={"p1": "s1", "p2": "s2"},
+    )
+    specification = Specification(
+        {"S": source, "T": target},
+        {"S": [], "T": [_monotone(schema_t, "A")]},
+        [copy_function],
+    )
+    return specification, SPQuery("T", schema_t, ["A"], name="QA")
+
+
+def test_totality_over_an_absent_import_is_sound():
+    specification, query = _between_case()
+    closure = candidate_closure(specification)
+    assert [c.source_tid for c in closure.candidates] == ["sa"]
+    imported = apply_imports(specification, closure.candidates).specification
+    a = closure.candidates[0].new_tid()
+    assert not imported.instance("T").precedes("B", "p1", a)  # only forced by copying
+    given = imported.copy()
+    given.instance("T").add_order("B", "p1", a)
+    given.instance("T").add_order("B", a, "p2")
+    for seed, case in enumerate((specification, imported, given)):
+        _check_case(seed, case, query)
+    # the import makes its A value current, so ρ is not currency preserving
+    # and importing it is; the sweeps above agree with the oracle on all three
+    assert _oracle_answers(query, specification) == frozenset({(3,)})
+    assert _oracle_answers(query, imported) == frozenset({(4,)})
+    assert not is_currency_preserving(query, specification, method="sat")
+    assert is_currency_preserving(query, imported, method="sat")
+    assert not has_bounded_extension(query, specification, 0)
+    assert has_bounded_extension(query, specification, 1)

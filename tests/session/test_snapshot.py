@@ -320,6 +320,13 @@ class TestSnapshotStore:
         with pytest.raises(SpecificationError, match="format"):
             SessionSnapshot.from_bytes(pickle.dumps(snapshot))
 
+    def test_a_format_2_snapshot_is_refused(self, paper_queries):
+        # format 2 pickled encoders with two variables per currency pair
+        snapshot = _warm_company_session(paper_queries).snapshot()
+        stale = dataclasses.replace(snapshot, format_version=2)
+        with pytest.raises(SpecificationError, match="format 2 is not the supported format 3"):
+            SessionSnapshot.from_bytes(stale.to_bytes())
+
     def test_writes_leave_no_temp_droppings(self, tmp_path, paper_queries):
         store = SnapshotStore(str(tmp_path))
         store.store_session(_warm_company_session(paper_queries))

@@ -1,14 +1,21 @@
 """Unit tests for the QBF evaluator and the completion (order) encoding."""
 
+from collections import Counter
+from math import comb
+
 import pytest
 
 from repro.core.instance import TemporalInstance
 from repro.core.schema import RelationSchema
 from repro.core.specification import Specification
+from repro.core.tuples import RelationTuple
+from repro.exceptions import SolverError
+from repro.preservation.sat_extensions import ExtensionSearchSpace
 from repro.solvers.order_encoding import CompletionEncoder
 from repro.solvers.qbf import evaluate_qbf, exists, forall
 from repro.solvers.sat import iterate_models
 from repro.workloads import company
+from repro.workloads.synthetic import preservation_workload
 
 
 class TestQBF:
@@ -94,7 +101,8 @@ class TestCompletionEncoder:
         # no clause was added, so no further search happened
         assert encoder.solver.stats()["decisions"] == decisions
         # adding a clause invalidates the cache and re-solves
-        encoder.cnf.add_clause([encoder.cnf.literal(("Emp", "salary", "s3", "s1"))])  # contradicts ϕ1
+        # contradicts ϕ1
+        encoder.cnf.add_clause([encoder._pair_literal(("Emp", "salary", "s3", "s1"))])
         assert not encoder.satisfiable()
         assert encoder.solver.stats()["decisions"] >= decisions
 
@@ -113,7 +121,8 @@ class TestCompletionEncoder:
         )
         # assumptions never mutate the encoding
         assert encoder.satisfiable()
-        assert len(encoder.cnf.clauses) == 2  # antisymmetry + totality only
+        # one variable orders the two tuples: no clause at all is needed
+        assert len(encoder.cnf.clauses) == 0
 
     def test_unknown_assumption_pair_rejected(self):
         from repro.exceptions import SolverError
@@ -155,3 +164,142 @@ class TestCompletionEncoder:
             )
         )
         assert not CompletionEncoder(spec).satisfiable()
+
+
+# --------------------------------------------------------------------------- #
+# One variable per unordered pair
+# --------------------------------------------------------------------------- #
+_BLOCK_SCHEMA = RelationSchema("R", ("A", "B"))
+
+
+def _block_row(index):
+    return {"EID": "e", "A": index, "B": -index}
+
+
+def _block_spec(size):
+    """One entity block of *size* tuples, two attributes, no orders or
+    denial constraints: every clause is order scaffolding."""
+    rows = {f"t{i}": _block_row(i) for i in range(size)}
+    return Specification({"R": TemporalInstance.from_rows(_BLOCK_SCHEMA, rows)})
+
+
+def _scaffolding(encoder):
+    """(pair variables, clause count by width) of the clauses over pair
+    variables only."""
+    pair_vars = {abs(literal) for literal in encoder._pairs.values()}
+    widths = Counter(
+        len(clause)
+        for clause in encoder.cnf.clauses
+        if all(abs(literal) in pair_vars for literal in clause)
+    )
+    return len(pair_vars), widths
+
+
+def _assert_total_completion(specification, completion):
+    """*completion* extends every given order and is total on every block."""
+    assert set(completion) == set(specification.instances)
+    for name, instance in specification.instances.items():
+        completed = completion[name]
+        assert completed.is_completion_of(instance)
+        assert set(completed.tids()) == set(instance.tids())
+
+
+class TestClauseCensus:
+    def test_twelve_tuple_block(self):
+        encoder = CompletionEncoder(_block_spec(12))
+        pair_vars, widths = _scaffolding(encoder)
+        assert pair_vars == comb(12, 2) * 2 == 132
+        # two clauses per unordered triple forbid its cyclic orientations
+        assert widths[3] == 2 * comb(12, 3) * 2 == 880
+        assert widths[2] == 0  # no antisymmetry or totality clauses
+        assert len(encoder.cnf.clauses) == 880
+
+    def test_a_grown_block_matches_a_fresh_build(self):
+        specification = _block_spec(8)
+        encoder = CompletionEncoder(specification)
+        instance = specification.instance("R")
+        added = [f"t{i}" for i in range(8, 12)]
+        for tid, index in zip(added, range(8, 12)):
+            instance.add(RelationTuple(_BLOCK_SCHEMA, tid, _block_row(index)))
+        assert encoder.add_tuples_incremental("R", added)
+        assert _scaffolding(encoder) == _scaffolding(CompletionEncoder(_block_spec(12)))
+        _assert_total_completion(specification, encoder.solve())
+
+
+class TestPairOrientation:
+    def test_the_reverse_pair_is_the_negated_literal(self):
+        encoder = CompletionEncoder(_block_spec(3))
+        forward = encoder._pair_literal(("R", "A", "t0", "t1"))
+        assert encoder._pair_literal(("R", "A", "t1", "t0")) == -forward
+        assert encoder._pair_literal(("R", "A", "t0", "t1"), False) == -forward
+        assert encoder._pair_literal(("R", "A", "t1", "t0"), False) == forward
+        # the two attributes order the same tuples independently
+        assert abs(encoder._pair_literal(("R", "B", "t0", "t1"))) != abs(forward)
+
+    def test_either_orientation_answers_probes(self):
+        encoder = CompletionEncoder(_block_spec(3))
+        assert encoder.satisfiable([("R", "A", "t2", "t0")])
+        assert not encoder.satisfiable([("R", "A", "t0", "t2"), ("R", "A", "t2", "t0")])
+        assert not encoder.satisfiable(
+            [("R", "A", "t0", "t1"), ("R", "A", "t1", "t2"), ("R", "A", "t2", "t0")]
+        )
+        assert encoder.excludes_some_pair([("R", "A", "t1", "t0")])
+
+    def test_an_order_added_against_the_allocated_orientation(self):
+        specification = _block_spec(3)
+        encoder = CompletionEncoder(specification)
+        encoder.add_order_pair("R", "A", "t2", "t0")
+        assert not encoder.satisfiable([("R", "A", "t0", "t2")])
+        assert not encoder.excludes_some_pair([("R", "A", "t2", "t0")])
+        completion = encoder.solve()
+        _assert_total_completion(specification, completion)
+        assert completion["R"].precedes("A", "t2", "t0")
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("R", "A", "t1", "t2"),
+            ("R", "A", "t1", "t9"),
+            ("R", "C", "t1", "t3"),
+            ("S", "A", "t1", "t3"),
+        ],
+        ids=["cross-entity", "unknown-tuple", "unknown-attribute", "unknown-instance"],
+    )
+    def test_unencoded_pairs_are_rejected(self, pair):
+        rows = {"t1": {"EID": "e1", "A": 1, "B": 1}, "t2": {"EID": "e2", "A": 2, "B": 2},
+                "t3": {"EID": "e1", "A": 3, "B": 3}}
+        encoder = CompletionEncoder(
+            Specification({"R": TemporalInstance.from_rows(_BLOCK_SCHEMA, rows)})
+        )
+        for probe in (
+            lambda: encoder._pair_literal(pair),
+            lambda: encoder.satisfiable([pair]),
+            lambda: encoder.excludes_some_pair([pair]),
+        ):
+            with pytest.raises(SolverError):
+                probe()
+
+    def test_decoded_company_completions_are_total(self, company_spec):
+        encoder = CompletionEncoder(company_spec)
+        completions = [
+            encoder.decode(model) for model in iterate_models(encoder.cnf, limit=20)
+        ]
+        assert len(completions) == 20
+        for completion in completions:
+            _assert_total_completion(company_spec, completion)
+            assert company_spec.is_consistent_completion(completion)
+
+    def test_decoded_space_completions_cover_the_base_tuples_only(self):
+        specification, _query = preservation_workload(candidates=3, conflict_groups=2, seed=3)
+        space = ExtensionSearchSpace(specification)
+        assert space.candidates  # the maximal extension has imported tuples
+        completion = space.solve()
+        assert completion is not None
+        _assert_total_completion(specification, completion)
+        assert specification.is_consistent_completion(completion)
+        # a model that imports candidates still decodes to a completion of S
+        selection = max(space.maximal_consistent_selections(), key=len)
+        assert selection
+        model = space.solver.solve(space._selection_literals(selection, exact=True))
+        assert model is not None
+        _assert_total_completion(specification, space.decode(model))
