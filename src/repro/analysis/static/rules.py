@@ -1,4 +1,4 @@
-"""The project-specific rules (R1–R8).
+"""The project-specific rules (R1–R9).
 
 Each rule encodes one hard-won invariant of the warm-state reasoning stack —
 see the class docstrings for the historical bug each one would have caught.
@@ -1059,6 +1059,56 @@ class BackendPurityRule(Rule):
                 )
 
 
+# --------------------------------------------------------------------------- #
+# R9 — checked solve: every consumed model passes the transitivity check
+# --------------------------------------------------------------------------- #
+class CheckedSolveRule(Rule):
+    """R9: no ``….solver.solve(`` or ``…._solver.solve(`` call outside
+    ``CompletionEncoder._solve``.
+
+    Transitivity is lazy: the warm solver's raw model may order an entity
+    block with a 3-cycle, which is no completion.  ``_solve`` checks every
+    model, refines the blocks it violates and solves again, so it is the
+    one place a model may come from.
+    """
+
+    code = "R9"
+    name = "checked-solve"
+    summary = "solve the warm encoding only through CompletionEncoder._solve"
+    rationale = (
+        "a raw solver.solve() skips lazy transitivity's 3-cycle check and can "
+        "hand a cyclic order to decoding, enumeration or a probe"
+    )
+
+    SOLVER_ATTRIBUTES: FrozenSet[str] = frozenset({"solver", "_solver"})
+
+    def check(self, context: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(context.tree):
+            if not isinstance(node, ast.Call) or _callee_identifier(node) != "solve":
+                continue
+            receiver = getattr(node.func, "value", None)
+            if not isinstance(receiver, ast.Attribute):
+                continue
+            if receiver.attr not in self.SOLVER_ATTRIBUTES:
+                continue
+            function = context.enclosing_function(node)
+            owner = context.enclosing_class(node)
+            if (
+                isinstance(function, ast.FunctionDef)
+                and function.name == "_solve"
+                and owner is not None
+                and owner.name == "CompletionEncoder"
+            ):
+                continue
+            yield self.finding(
+                context,
+                node,
+                f"raw .{receiver.attr}.solve() outside "
+                "CompletionEncoder._solve; its model skips the transitivity "
+                "check, so call _solve instead",
+            )
+
+
 ALL_RULES: Tuple[Rule, ...] = (
     CacheDependenciesRule(),
     IdentityComparisonRule(),
@@ -1068,6 +1118,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     PickleSafetyRule(),
     SnapshotSafetyRule(),
     BackendPurityRule(),
+    CheckedSolveRule(),
 )
 
 

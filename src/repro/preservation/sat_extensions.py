@@ -343,7 +343,7 @@ class ExtensionSearchSpace(CompletionEncoder):
         decides its downward closure (the smallest extension realising it).
         """
         assumptions = self._deactivations() + self._selection_literals(selection, exact=False)
-        return self.solver.solve(assumptions) is not None
+        return self._solve(assumptions) is not None
 
     def inconsistency_core(self, selection: Sequence[int]) -> Optional[List[CandidateImport]]:
         """The imports of *selection* that jointly force ``Mod(S^e) = ∅``, or
@@ -369,7 +369,7 @@ class ExtensionSearchSpace(CompletionEncoder):
         bound = self.bound_assumption(max_imports)
         if bound is not None:
             assumptions.append(bound)
-        if self.solver.solve(assumptions) is not None:
+        if self._solve(assumptions) is not None:
             return None
         core = self.solver.analyze_final() or []
         positions = {var: index for index, var in enumerate(self._selector_vars)}
@@ -504,7 +504,7 @@ class ExtensionSearchSpace(CompletionEncoder):
         produced = 0
         try:
             while True:
-                model = self.solver.solve(self._pass_assumptions(activation) + fixed)
+                model = self._solve(self._pass_assumptions(activation) + fixed)
                 if model is None:
                     if collected is not None:
                         self._selection_cache = collected
@@ -571,7 +571,7 @@ class ExtensionSearchSpace(CompletionEncoder):
 
         try:
             while True:
-                model = self.solver.solve(self._pass_assumptions(activation))
+                model = self._solve(self._pass_assumptions(activation))
                 if model is None:
                     return complete(maximal)
                 chosen = set(

@@ -81,7 +81,7 @@ __all__ = [
 #: search space, enumerators).  Bump it whenever that layout changes: a
 #: payload recorded under another number is refused, and the serving layer
 #: treats the refusal as a cache miss and rebuilds cold.
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ whose positive literal reads ``lower ≺ upper`` and whose negative literal
 reads ``upper ≺ lower`` — antisymmetry and totality hold by construction.
 The remaining well-formedness conditions become clauses:
 
-* transitivity: two clauses per unordered triple of a block, forbidding its
-  two cyclic orientations (a tournament without 3-cycles is a total order),
+* transitivity, lazily: two clauses per unordered triple of a block forbid
+  its two cyclic orientations (a tournament without 3-cycles is a total
+  order), but a block gets them only once a model orders it with a 3-cycle
+  (counterexample-guided refinement, see :meth:`CompletionEncoder._solve`),
 * unit clauses for the given partial orders,
 * grounded denial-constraint implications,
 * copy-function ≺-compatibility implications.
@@ -53,6 +55,8 @@ from repro.solvers.sat import Model
 __all__ = ["PairVariable", "CompletionEncoder"]
 
 PairVariable = Tuple[str, str, Hashable, Hashable]
+#: one entity block of one attribute: ``(instance, attribute, eid)``
+BlockKey = Tuple[str, str, Hashable]
 
 #: one entity's value columns: ``(eid, [(attribute, [(value, value variable)])])``
 ValueSlot = Tuple[Any, List[Tuple[str, List[Tuple[Any, int]]]]]
@@ -102,6 +106,11 @@ class CompletionEncoder:
         #: both orientations of every encoded pair -> its literal (+v for
         #: the orientation allocated first, -v for the other)
         self._pairs: Dict[PairVariable, int] = {}
+        #: every block's tids and pair edges ``(i, j, v)``: variable v reads
+        #: ``tids[i] ≺ tids[j]``
+        self._blocks: Dict[BlockKey, Tuple[List[Hashable], List[Tuple[int, int, int]]]] = {}
+        #: the blocks whose transitivity triples are in ``self.cnf``
+        self._refined: Set[BlockKey] = set()
         self._build()
 
     @property
@@ -156,26 +165,52 @@ class CompletionEncoder:
         return literal if positive else -literal
 
     def _encode_block(
-        self, name: str, attribute: str, old: Sequence[Hashable], new: Sequence[Hashable]
+        self, name: str, attribute: str, eid: Hashable, new: Iterable[Hashable]
     ) -> None:
-        """Pair variables and transitivity for a block of tuples *old* +
-        *new* whose *old* part is already encoded: every pair and every
-        unordered triple involving a *new* tuple, each exactly once."""
-        add_clause = self.cnf.add_clause
-        pair = self._pair
-        done = list(old)
-        # below[j][i]: the literal of done[i] ≺ done[j], for i < j
-        below = [[pair(name, attribute, a, b) for a in done[:j]] for j, b in enumerate(done)]
+        """Pair variables for the tuples *new* joining the block of *eid*:
+        every pair involving a new tuple, exactly once.  A block that is
+        already refined gets the triples involving a new tuple at once."""
+        key = (name, attribute, eid)
+        tids, edges = self._blocks.setdefault(key, ([], []))
+        first = len(tids)
         for tid in new:
-            to_tid = [pair(name, attribute, other, tid) for other in done]
-            # a tournament is a total order iff it has no 3-cycle: forbid
-            # a ≺ b ≺ tid ≺ a and a ≺ tid ≺ b ≺ a
-            for i, j in combinations(range(len(done)), 2):
-                ab, a_tid, b_tid = below[j][i], to_tid[i], to_tid[j]
-                add_clause([-ab, -b_tid, a_tid])
-                add_clause([ab, b_tid, -a_tid])
-            below.append(to_tid)
-            done.append(tid)
+            j = len(tids)
+            for i, other in enumerate(tids):
+                literal = self._pair(name, attribute, other, tid)
+                edges.append((i, j, literal) if literal > 0 else (j, i, -literal))
+            tids.append(tid)
+        if key in self._refined:
+            self._encode_triples(key, first)
+
+    def _encode_triples(self, key: BlockKey, first: int = 0) -> None:
+        """Transitivity for the triples of block *key* whose last tuple sits
+        at position *first* or later: a tournament is a total order iff it
+        has no 3-cycle, so forbid ``a ≺ b ≺ c ≺ a`` and ``a ≺ c ≺ b ≺ a``."""
+        tids, edges = self._blocks[key]
+        precedes = [[0] * len(tids) for _ in tids]
+        for i, j, var in edges:
+            precedes[i][j], precedes[j][i] = var, -var
+        add_clause = self.cnf.add_clause
+        for c in range(first, len(tids)):
+            for a, b in combinations(range(c), 2):
+                ab, bc, ac = precedes[a][b], precedes[b][c], precedes[a][c]
+                add_clause([-ab, -bc, ac])
+                add_clause([ab, bc, -ac])
+
+    def _cyclic_blocks(self, model: Model) -> List[BlockKey]:
+        """The unrefined blocks that *model* orders with a 3-cycle.  A
+        tournament on n tuples is transitive iff its win counts are exactly
+        ``0..n-1``."""
+        cyclic: List[BlockKey] = []
+        for key, (tids, edges) in self._blocks.items():
+            if len(tids) < 3 or key in self._refined:
+                continue
+            wins = [0] * len(tids)
+            for i, j, var in edges:
+                wins[j if model.get(var, False) else i] += 1
+            if len(set(wins)) < len(tids):
+                cyclic.append(key)
+        return cyclic
 
     def _build(self) -> None:
         full = self.full
@@ -194,7 +229,7 @@ class CompletionEncoder:
             # and the (acyclic, transitively closed) given order always extend
             # to one of the whole block
             for eid in instance.entities():
-                self._encode_block(name, attribute, (), instance.entity_tids(eid))
+                self._encode_block(name, attribute, eid, instance.entity_tids(eid))
             # the given partial currency order must be extended
             for lower, upper in instance.order(attribute).pairs():
                 self.cnf.add_clause([self._pair(name, attribute, lower, upper)])
@@ -427,9 +462,9 @@ class CompletionEncoder:
         """The additive delta for the tuples *fresh* (instance -> tuple ids)
         that joined the encoded specification:
 
-        * per grown entity block, pair variables and transitivity for exactly
-          the pairs/triples involving a fresh tuple, plus unit clauses for
-          any order pairs that touch one;
+        * per grown entity block, pair variables for exactly the pairs
+          involving a fresh tuple (and, once the block is refined, the
+          triples), plus unit clauses for any order pairs that touch one;
         * denial groundings and copy implications restricted to supports
           touching a fresh tuple, enumerated once for the whole batch;
         * a fresh-generation re-encode of each grown block's value columns.
@@ -443,15 +478,9 @@ class CompletionEncoder:
             # order scaffolding for the grown blocks: the block minus its
             # fresh tuples is encoded already
             for attribute in instance.schema.attributes:
-                for eid, new_in_block in added_by_eid.items():
-                    block = instance.entity_tids(eid)
-                    pending = set(new_in_block)
-                    self._encode_block(
-                        name,
-                        attribute,
-                        [t for t in block if t not in pending],
-                        [t for t in block if t in pending],
-                    )
+                for eid in added_by_eid:
+                    new = [tid for tid in instance.entity_tids(eid) if tid in added]
+                    self._encode_block(name, attribute, eid, new)
                 for lower, upper in instance.order(attribute).pairs():
                     if lower in added or upper in added:
                         cnf.add_clause([self._pair(name, attribute, lower, upper)])
@@ -528,14 +557,33 @@ class CompletionEncoder:
     # ------------------------------------------------------------------ #
     # Questions about the base specification
     # ------------------------------------------------------------------ #
+    def _solve(self, assumptions: List[int]) -> Optional[Model]:
+        """The one call into the backend: a model under *assumptions* whose
+        every block is totally ordered, or None.
+
+        Transitivity is lazy.  A model that orders some unrefined block with
+        a 3-cycle refines every such block with all of its triples and the
+        solve runs again.  The triples are implied clauses, so UNSAT answers
+        and :meth:`~repro.solvers.sat.Solver.analyze_final` cores stay sound,
+        and each block refines at most once, so a solve ends after at most
+        ``#blocks + 1`` rounds."""
+        while True:
+            model = self.solver.solve(assumptions)
+            cyclic = [] if model is None else self._cyclic_blocks(model)
+            if not cyclic:
+                return model
+            for key in cyclic:
+                self._encode_triples(key)
+                self._refined.add(key)
+
     def _solve_model(self) -> Optional[Model]:
         """One model of the current encoding, memoised until a clause is added
         (so ``solve()`` followed by ``satisfiable()`` costs a single solve)."""
-        key = len(self.cnf.clauses)
-        if self._cached_model is not None and self._cached_model[0] == key:
+        if self._cached_model is not None and self._cached_model[0] == len(self.cnf.clauses):
             return self._cached_model[1]
-        model = self.solver.solve(self._selection_literals((), exact=True))
-        self._cached_model = (key, model)
+        model = self._solve(self._selection_literals((), exact=True))
+        # keyed after the solve: a refinement inside it added clauses
+        self._cached_model = (len(self.cnf.clauses), model)
         return model
 
     def solve(self) -> Optional[Dict[str, TemporalInstance]]:
@@ -560,7 +608,7 @@ class CompletionEncoder:
             + self._selection_literals((), exact=True)
             + [self._pair_literal(pair) for pair in assumptions]
         )
-        return self.solver.solve(literals) is not None
+        return self._solve(literals) is not None
 
     def excludes_some_pair(self, pairs: Sequence[PairVariable]) -> bool:
         """Whether some consistent completion of the base specification misses
@@ -571,7 +619,7 @@ class CompletionEncoder:
             assumptions = self._pass_assumptions(activation) + self._selection_literals(
                 (), exact=True
             )
-            return self.solver.solve(assumptions) is not None
+            return self._solve(assumptions) is not None
         finally:
             self._retire_activation(activation)
 
@@ -635,7 +683,7 @@ class CompletionEncoder:
         produced = 0
         try:
             while True:
-                model = self.solver.solve(self._pass_assumptions(activation) + fixed)
+                model = self._solve(self._pass_assumptions(activation) + fixed)
                 if model is None:
                     return
                 blocking = [-activation] + [

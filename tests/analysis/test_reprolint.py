@@ -1,4 +1,4 @@
-"""Tests for the reprolint static-analysis framework (R1–R8).
+"""Tests for the reprolint static-analysis framework (R1–R9).
 
 Three layers: per-rule fixture tests (each rule fires on its bug class and
 stays quiet on the compliant twin, and stops firing when the rule is
@@ -38,7 +38,7 @@ def codes(report):
 # --------------------------------------------------------------------------- #
 # per-rule fixtures: fires on bad, quiet on good, quiet when disabled
 # --------------------------------------------------------------------------- #
-RULE_CODES = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"]
+RULE_CODES = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
 
 
 @pytest.mark.parametrize("code", RULE_CODES)

@@ -14,9 +14,13 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+from math import comb
 
 import pytest
 
+from repro.core.instance import TemporalInstance
+from repro.core.schema import RelationSchema
+from repro.core.specification import Specification
 from repro.core.tuples import RelationTuple
 from repro.exceptions import SpecificationError
 from repro.serve import BatchDriver
@@ -212,6 +216,32 @@ class TestSnapshotRestore:
             restored.bcp(query, 2),
         ) == expected
 
+    def test_a_partly_refined_encoder_round_trips(self):
+        schema = RelationSchema("R", ("A", "B"))
+        rows = {f"{eid}{i}": {"EID": eid, "A": i, "B": -i} for eid in "xy" for i in range(4)}
+        donor = ReasoningSession(Specification({"R": TemporalInstance.from_rows(schema, rows)}))
+        encoder = donor.encoder
+        # a 3-cycle probe refines block (R, A, x) and no other
+        cycle = [("R", "A", "x0", "x1"), ("R", "A", "x1", "x2"), ("R", "A", "x2", "x0")]
+        assert not encoder.satisfiable(cycle)
+        assert encoder._refined == {("R", "A", "x")}
+        restored = restore_bytes(snapshot_bytes(donor))
+        assert restored.encoder._refined == encoder._refined
+        assert restored.encoder._blocks == encoder._blocks
+        assert len(restored.encoder.cnf.clauses) == len(encoder.cnf.clauses)
+        # the refined block keeps growing eagerly on both sides, lazy ones lazily
+        refined_clauses = len(encoder.cnf.clauses)
+        for session in (donor, restored):
+            for tid in ("x4", "y4"):
+                session.add_tuple("R", tid, {"EID": tid[0], "A": 4, "B": -4})
+            # the triples of (R, A, x) that involve x4
+            grown = refined_clauses + 2 * (comb(5, 3) - comb(4, 3))
+            assert len(session.encoder.cnf.clauses) == grown
+        assert restored.encoder._refined == {("R", "A", "x")}
+        assert not restored.encoder.satisfiable(cycle)
+        order = {"A": [("x4", "x0")], "B": [("y0", "y4")]}
+        assert restored.certain_ordering("R", order) == donor.certain_ordering("R", order)
+
     def test_from_bytes_rejects_foreign_payloads(self):
         with pytest.raises(SpecificationError, match="SessionSnapshot"):
             SessionSnapshot.from_bytes(pickle.dumps({"not": "a snapshot"}))
@@ -324,7 +354,15 @@ class TestSnapshotStore:
         # format 2 pickled encoders with two variables per currency pair
         snapshot = _warm_company_session(paper_queries).snapshot()
         stale = dataclasses.replace(snapshot, format_version=2)
-        with pytest.raises(SpecificationError, match="format 2 is not the supported format 3"):
+        with pytest.raises(SpecificationError, match="format 2 is not the supported format 4"):
+            SessionSnapshot.from_bytes(stale.to_bytes())
+
+    def test_a_format_3_snapshot_is_refused(self, paper_queries):
+        # format 3 pickled encoders that emitted every transitivity triple
+        # eagerly, without per-block refinement state
+        snapshot = _warm_company_session(paper_queries).snapshot()
+        stale = dataclasses.replace(snapshot, format_version=3)
+        with pytest.raises(SpecificationError, match="format 3 is not the supported format 4"):
             SessionSnapshot.from_bytes(stale.to_bytes())
 
     def test_writes_leave_no_temp_droppings(self, tmp_path, paper_queries):

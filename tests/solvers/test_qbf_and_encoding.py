@@ -1,6 +1,7 @@
 """Unit tests for the QBF evaluator and the completion (order) encoding."""
 
 from collections import Counter
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
@@ -11,11 +12,15 @@ from repro.core.specification import Specification
 from repro.core.tuples import RelationTuple
 from repro.exceptions import SolverError
 from repro.preservation.sat_extensions import ExtensionSearchSpace
+from repro.session import ReasoningSession
 from repro.solvers.order_encoding import CompletionEncoder
 from repro.solvers.qbf import evaluate_qbf, exists, forall
-from repro.solvers.sat import iterate_models
 from repro.workloads import company
-from repro.workloads.synthetic import preservation_workload
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    preservation_workload,
+    random_specification,
+)
 
 
 class TestQBF:
@@ -88,7 +93,7 @@ class TestCompletionEncoder:
         )
         spec = Specification({"R": instance})
         encoder = CompletionEncoder(spec)
-        completions = [encoder.decode(model) for model in iterate_models(encoder.cnf)]
+        completions = [encoder.decode(model) for model in _checked_models(encoder)]
         assert len(completions) == 2
         assert all(spec.is_consistent_completion(c) for c in completions)
 
@@ -167,8 +172,30 @@ class TestCompletionEncoder:
 
 
 # --------------------------------------------------------------------------- #
-# One variable per unordered pair
+# One variable per unordered pair, transitivity by refinement
 # --------------------------------------------------------------------------- #
+def _checked_models(encoder, limit=None):
+    """The distinct completions of *encoder*, one checked model each: the
+    raw CNF lacks the transitivity of unrefined blocks, so enumerating its
+    models would also yield cyclic orders.  Blocking clauses over the pair
+    variables are gated behind one activation literal."""
+    pair_vars = sorted({abs(literal) for literal in encoder._pairs.values()})
+    activation = encoder._new_activation()
+    models = []
+    try:
+        while limit is None or len(models) < limit:
+            model = encoder._solve(encoder._pass_assumptions(activation))
+            if model is None:
+                break
+            models.append(model)
+            encoder.cnf.add_clause(
+                [-activation] + [-var if model.get(var, False) else var for var in pair_vars]
+            )
+    finally:
+        encoder._retire_activation(activation)
+    return models
+
+
 _BLOCK_SCHEMA = RelationSchema("R", ("A", "B"))
 
 
@@ -204,26 +231,160 @@ def _assert_total_completion(specification, completion):
         assert set(completed.tids()) == set(instance.tids())
 
 
+def _chain(attribute, *tids):
+    """Assumptions ordering *tids* on *attribute* of block e, in sequence."""
+    return [("R", attribute, lower, upper) for lower, upper in zip(tids, tids[1:])]
+
+
+def _refine(encoder, attribute="A"):
+    """Force a refinement of block (R, attribute, e): its 3-cycle is UNSAT
+    only once the triples are in."""
+    assert not encoder.satisfiable(_chain(attribute, "t0", "t1", "t2", "t0"))
+    assert ("R", attribute, "e") in encoder._refined
+
+
+def _grow_to(specification, encoder, size):
+    instance = specification.instance("R")
+    added = [f"t{i}" for i in range(len(instance.tids()), size)]
+    for tid in added:
+        instance.add(RelationTuple(_BLOCK_SCHEMA, tid, _block_row(int(tid[1:]))))
+    assert encoder.add_tuples_incremental("R", added)
+
+
 class TestClauseCensus:
     def test_twelve_tuple_block(self):
         encoder = CompletionEncoder(_block_spec(12))
         pair_vars, widths = _scaffolding(encoder)
         assert pair_vars == comb(12, 2) * 2 == 132
-        # two clauses per unordered triple forbid its cyclic orientations
-        assert widths[3] == 2 * comb(12, 3) * 2 == 880
+        # the build emits no triple: transitivity waits for a 3-cycle
+        assert len(encoder.cnf.clauses) == 0
+        assert encoder.solve() is not None
+        assert not encoder._refined  # the all-false phase is a total order
+        _refine(encoder, "A")
+        assert encoder._refined == {("R", "A", "e")}
+        # two clauses per unordered triple of the refined attribute's block
+        pair_vars, widths = _scaffolding(encoder)
+        assert widths[3] == 2 * comb(12, 3) == 440
         assert widths[2] == 0  # no antisymmetry or totality clauses
-        assert len(encoder.cnf.clauses) == 880
+        _refine(encoder, "B")
+        assert len(encoder.cnf.clauses) == 2 * comb(12, 3) * 2 == 880
 
-    def test_a_grown_block_matches_a_fresh_build(self):
+    def test_a_forced_refinement_adds_one_blocks_triples(self):
+        encoder = CompletionEncoder(_block_spec(6))
+        # without triples, the all-false phase orders t2 ≺ t0: a 3-cycle
+        assert encoder.satisfiable(_chain("A", "t0", "t1", "t2"))
+        assert encoder._refined == {("R", "A", "e")}
+        assert len(encoder.cnf.clauses) == 2 * comb(6, 3)
+        assert not encoder.satisfiable(_chain("A", "t0", "t1", "t2", "t0"))
+        completion = encoder.solve()
+        _assert_total_completion(encoder.specification, completion)
+        assert encoder.specification.is_consistent_completion(completion)
+        assert len(encoder.cnf.clauses) == 2 * comb(6, 3)  # each block refines once
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["lazy", "refined"])
+    def test_a_grown_block_matches_a_fresh_build(self, refined):
         specification = _block_spec(8)
         encoder = CompletionEncoder(specification)
-        instance = specification.instance("R")
-        added = [f"t{i}" for i in range(8, 12)]
-        for tid, index in zip(added, range(8, 12)):
-            instance.add(RelationTuple(_BLOCK_SCHEMA, tid, _block_row(index)))
-        assert encoder.add_tuples_incremental("R", added)
-        assert _scaffolding(encoder) == _scaffolding(CompletionEncoder(_block_spec(12)))
+        fresh = CompletionEncoder(_block_spec(12))
+        if refined:
+            _refine(encoder)
+            _refine(fresh)
+        _grow_to(specification, encoder, 12)
+        assert encoder._refined == fresh._refined
+        assert _scaffolding(encoder) == _scaffolding(fresh)
         _assert_total_completion(specification, encoder.solve())
+
+    @pytest.mark.slow
+    def test_a_sixty_tuple_block_answers_cps_with_few_triples(self):
+        specification = random_specification(
+            SyntheticConfig(entities=1, tuples_per_entity=60, attributes=2,
+                            order_density=0, value_domain=1000, seed=1)
+        )
+        session = ReasoningSession(specification)
+        assert session.consistent(method="sat")
+        eager_triples = 2 * comb(60, 3) * 2
+        assert eager_triples == 136_880
+        assert len(session.encoder.cnf.clauses) < eager_triples // 10
+
+
+def _assert_transitive(encoder, model):
+    """Every block of *encoder* is a total order under *model*, checked
+    triple by triple."""
+    for (name, attribute, _eid), (tids, _edges) in encoder._blocks.items():
+        for a, b, c in combinations(tids, 3):
+            literals = {
+                (x, y): encoder._pairs[(name, attribute, x, y)]
+                for x, y in ((a, b), (b, c), (c, a), (a, c), (c, b), (b, a))
+            }
+            holds = {
+                pair: model.get(abs(literal), False) == (literal > 0)
+                for pair, literal in literals.items()
+            }
+            assert not (holds[(a, b)] and holds[(b, c)] and holds[(c, a)])
+            assert not (holds[(a, c)] and holds[(c, b)] and holds[(b, a)])
+
+
+def _recording(encoder):
+    """Record every model :meth:`CompletionEncoder._solve` returns."""
+    models = []
+    solve = encoder._solve
+
+    def recorded(assumptions):
+        model = solve(assumptions)
+        if model is not None:
+            models.append(model)
+        return model
+
+    encoder._solve = recorded
+    return models
+
+
+class TestCheckedModels:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_encoder_model_is_a_total_consistent_completion(self, seed):
+        # copy functions, no denials: most pairs are free, so raw models of
+        # the probes below are often cyclic
+        specification = random_specification(
+            SyntheticConfig(entities=2, tuples_per_entity=5, attributes=2, relations=2,
+                            with_copy_functions=True, with_constraints=False,
+                            order_density=0.2, value_domain=3, seed=seed)
+        )
+        encoder = CompletionEncoder(specification)
+        models = _recording(encoder)
+        consistent = encoder.satisfiable()
+        list(islice(encoder.current_databases(), 12))
+        instance = specification.instance("R0")
+        for eid in instance.entities():
+            for attribute in instance.schema.attributes:
+                for a, b, c in permutations(instance.entity_tids(eid)[:3]):
+                    encoder.satisfiable([("R0", attribute, a, b), ("R0", attribute, b, c)])
+                    encoder.excludes_some_pair([("R0", attribute, c, a)])
+        assert bool(models) == consistent
+        for model in models:
+            _assert_transitive(encoder, model)
+            completion = encoder.decode(model)
+            _assert_total_completion(specification, completion)
+            assert specification.is_consistent_completion(completion)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_space_model_is_a_total_consistent_completion(self, seed):
+        specification, _query = preservation_workload(
+            candidates=3, conflict_groups=2, spoiler=bool(seed % 2), seed=seed
+        )
+        space = ExtensionSearchSpace(specification)
+        models = _recording(space)
+        selections = list(space.iterate_consistent_selections())
+        space.maximal_consistent_selections()
+        for selection in selections:
+            list(islice(space.current_databases(selection), 6))
+            space.selection_consistent(selection)
+        space.bounded_selection_core((), 1)
+        assert models
+        for model in models:
+            _assert_transitive(space, model)
+            completion = space.decode(model)
+            _assert_total_completion(specification, completion)
+            assert specification.is_consistent_completion(completion)
 
 
 class TestPairOrientation:
@@ -281,9 +442,7 @@ class TestPairOrientation:
 
     def test_decoded_company_completions_are_total(self, company_spec):
         encoder = CompletionEncoder(company_spec)
-        completions = [
-            encoder.decode(model) for model in iterate_models(encoder.cnf, limit=20)
-        ]
+        completions = [encoder.decode(model) for model in _checked_models(encoder, limit=20)]
         assert len(completions) == 20
         for completion in completions:
             _assert_total_completion(company_spec, completion)
@@ -300,6 +459,6 @@ class TestPairOrientation:
         # a model that imports candidates still decodes to a completion of S
         selection = max(space.maximal_consistent_selections(), key=len)
         assert selection
-        model = space.solver.solve(space._selection_literals(selection, exact=True))
+        model = space._solve(space._selection_literals(selection, exact=True))
         assert model is not None
         _assert_total_completion(specification, space.decode(model))
