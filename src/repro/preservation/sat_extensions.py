@@ -41,9 +41,11 @@ completion of S^e      the encoder's pair, denial and copy clauses over the
                        imported tuples involved, so absent tuples constrain
                        nothing else
 ``LST(D^c)``           the encoder's value columns for every instance, with
-                       ``max ⟹ present`` for imported tuples; current
-                       databases are enumerated per selection as models
-                       projected onto the value variables
+                       ``max ⟹ present`` for imported tuples; certain
+                       answers per selection are refuted on them (SP
+                       queries) or intersected over the current databases
+                       enumerated as models projected onto the value
+                       variables
 ``|ρ^e| ≤ |ρ| + k``    a sequential-counter order encoding of the selector
                        count (``("cnt", i, j)`` ⟺ "≥ j of the first i
                        selectors hold") over *all* closure selectors; the
@@ -61,9 +63,10 @@ All questions run on the encoder's **one incremental solver**:
 * the base problems (CPS, COP, DCIP) are the inherited encoder questions
   under the exact empty selection;
 * enumeration (of consistent extensions, and of current databases per
-  extension) adds blocking clauses gated behind a fresh activation literal
-  per pass, so everything the solver learns stays warm across the whole
-  CPP/ECP/BCP decision.
+  extension) and refutation (of certain answers per extension) add blocking
+  or refuting clauses gated behind a fresh activation literal per pass, so
+  everything the solver learns stays warm across the whole CPP/ECP/BCP
+  decision.
 
 The seed enumerator is retained as the reference oracle; the property-based
 harness in ``tests/property/test_extension_search.py`` checks both engines
@@ -86,7 +89,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.instance import NormalInstance
 from repro.core.specification import Specification
 from repro.exceptions import SolverError, SpecificationError
 from repro.preservation.extensions import (
@@ -106,10 +108,6 @@ Selection = Tuple[int, ...]
 
 #: Search-engine selector shared by the CPP/ECP/BCP entry points.
 SEARCHES = ("auto", "sat", "naive")
-
-#: Per-(selection, relations) bound on memoised current-database lists; a
-#: selection with more realizable databases is streamed instead of pinned.
-_DB_MEMO_CAP = 256
 
 #: Bound on the memoised consistent-selection enumeration; a larger family is
 #: streamed on every pass instead of pinned in memory (the huge-family BCP
@@ -207,12 +205,6 @@ class ExtensionSearchSpace(CompletionEncoder):
         #: :meth:`extend_with_tuples` grows the selector universe
         self._counter_size = 0
         self._answer_cache: Dict[Tuple[Any, FrozenSet[int]], Optional[FrozenSet]] = {}
-        # (selection, relations) -> the complete list of its current databases;
-        # lets every engine sweeping the same selections (CPP after CCQA, a
-        # second query's CPP, BCP after CPP) skip the SAT enumeration entirely
-        self._database_memo: Dict[
-            Tuple[FrozenSet[int], Tuple[str, ...]], List[Dict[str, NormalInstance]]
-        ] = {}
         # the complete ⊆-maximal harvest, memoised by
         # maximal_consistent_selections() so ECP's greedy and repeated BCP
         # sweeps reuse it without further SAT calls
@@ -381,7 +373,6 @@ class ExtensionSearchSpace(CompletionEncoder):
     # ------------------------------------------------------------------ #
     def _invalidate_derived_caches(self) -> None:
         self._answer_cache.clear()
-        self._database_memo.clear()
         self._maximal_cache = None
         self._selection_cache = None
 
@@ -643,55 +634,14 @@ class ExtensionSearchSpace(CompletionEncoder):
         self, engine: QueryEngine, selection: Sequence[int] = ()
     ) -> Optional[FrozenSet]:
         """Certain current answers of the engine's query w.r.t.
-        ``S^selection``, or None when ``Mod(S^selection)`` is empty.
-
-        Intersects the engine's answers over :meth:`current_databases`
-        (memoised per (engine, selection)); value-identical current databases
-        share one evaluation through the engine's answer cache and the
-        interned instances of :class:`~repro.core.completion.CurrentDatabaseCache`.
-        On top, the complete database list of each (selection, relations) pair
-        is memoised up to :data:`_DB_MEMO_CAP` entries, so every further
-        engine sweeping the same selections — a second query's CPP, the BCP
-        sweep after CPP, a session's CCQA before either — intersects plain
-        lists instead of re-running the SAT enumeration.
-        """
+        ``S^selection``, or None when ``Mod(S^selection)`` is empty — the
+        encoder's refutation (SP queries) or enumeration, memoised per
+        (engine, selection) until the next mutation, so the BCP sweep after
+        a CPP re-reads the answers CPP computed."""
         key = (engine, frozenset(selection))
-        if key in self._answer_cache:
-            return self._answer_cache[key]
-        intersection: Optional[Set[Tuple[Any, ...]]] = None
-        answers: Optional[FrozenSet]
-        memo_key = (frozenset(selection), tuple(engine.relations))
-        memoised = self._database_memo.get(memo_key)
-        if memoised is not None:
-            for database in memoised:
-                if intersection is None:
-                    intersection = set(engine.answers(database))
-                else:
-                    intersection &= engine.answers(database)
-                if not intersection:
-                    break
-        else:
-            collected: Optional[List[Dict[str, NormalInstance]]] = []
-            for database in self.current_databases(selection, relations=engine.relations):
-                if collected is not None:
-                    collected.append(database)
-                    if len(collected) > _DB_MEMO_CAP:
-                        collected = None  # too many to pin; stream the rest
-                if intersection is None:
-                    intersection = set(engine.answers(database))
-                else:
-                    intersection &= engine.answers(database)
-                if not intersection:
-                    # seed semantics: an emptied intersection ends the sweep
-                    # immediately; the (now partial) database list is not
-                    # memoised
-                    collected = None
-                    break
-            if collected is not None:
-                self._database_memo[memo_key] = collected
-        answers = None if intersection is None else frozenset(intersection)
-        self._answer_cache[key] = answers
-        return answers
+        if key not in self._answer_cache:
+            self._answer_cache[key] = super().certain_answers(engine, selection)
+        return self._answer_cache[key]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -706,7 +656,6 @@ class ExtensionSearchSpace(CompletionEncoder):
             "clauses": len(self.cnf.clauses),
             "active_passes": len(self._activation_literals),
             "answer_cache_entries": len(self._answer_cache),
-            "database_memo_entries": len(self._database_memo),
             "maximal_harvest_cached": self._maximal_cache is not None,
             "selection_enumeration_cached": self._selection_cache is not None,
             "regenerated_blocks": len(self._maximality_generation),

@@ -14,10 +14,13 @@ identity queries stay intractable.
 Strategies
 ----------
 * ``"enumerate"``   — exhaustive enumeration of ``Mod(S)`` (ground truth).
-* ``"candidates"``  — enumeration of realizable *current databases* via the
-  SAT-backed :class:`~repro.reasoning.current_db.CurrentDatabaseEnumerator`
-  (the default general path), or — on a session whose extension search space
-  is already warm — via the space's value-level projection.
+* ``"candidates"``  — the SAT-backed general path on the session's live
+  encoding (the base encoder, or the extension search space once built):
+  refutation on the value columns for SP queries — the answers on one
+  current database are the candidates, and gated solves for a database
+  lacking one drop them until none can be refuted — and enumeration of the
+  realizable *current databases* for other queries
+  (:meth:`~repro.solvers.order_encoding.CompletionEncoder.certain_answers`).
 * ``"sp"``          — the PTIME algorithm of Proposition 6.3 (SP queries, no
   denial constraints; :mod:`repro.reasoning.sp`, re-exported here).
 * ``"auto"``        — picks ``"sp"`` when applicable, ``"candidates"`` otherwise.

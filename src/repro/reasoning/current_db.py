@@ -11,8 +11,13 @@ realizable current database
 (:meth:`~repro.solvers.order_encoding.CompletionEncoder.current_databases`).
 
 :class:`CurrentDatabaseEnumerator` is the projection of that enumeration onto
-a fixed set of relations.  The session facade keeps one per relation set,
-all sharing its encoder, whose tuple deltas keep the columns current.
+a fixed set of relations, for standalone use and for the naive CPP path.
+The session facade does not enumerate for SP queries or DCIP: it asks the
+same value columns by refutation, a few gated solves for a database that
+differs
+(:meth:`~repro.solvers.order_encoding.CompletionEncoder.certain_answers`,
+:meth:`~repro.solvers.order_encoding.CompletionEncoder.deterministic`), and
+enumerates on its encoder directly for other queries.
 """
 
 from __future__ import annotations

@@ -15,15 +15,16 @@ once, lazily:
   ``Ext(ρ)`` (a :class:`~repro.solvers.order_encoding.CompletionEncoder`
   itself) from then on — building the space releases the base encoder, and
   the base problems run on the space's warm solver;
-* per-query :class:`~repro.query.engine.QueryEngine` instances and
-  current-database enumerators projecting the encoder's value columns.
+* per-query :class:`~repro.query.engine.QueryEngine` instances.
 
-So a CPS probe warms the solver that the subsequent CCQA enumeration reuses,
-and a CPP sweep leaves behind the memoised certain answers, current-database
-lists and the ⊆-maximal harvest that make the following BCP and ECP decisions
-near-free.  The module-level functions in :mod:`repro.reasoning` and
-:mod:`repro.preservation` are thin wrappers that construct (or accept) a
-session.
+CCQA and DCIP ask the encoder's value columns by refutation (a few gated
+solves, see :meth:`~repro.solvers.order_encoding.CompletionEncoder.certain_answers`),
+so a CPS probe warms the solver — and memoises the model — that the
+subsequent CCQA and DCIP solves start from, and a CPP sweep leaves behind the
+memoised certain answers and the ⊆-maximal harvest that make the following
+BCP and ECP decisions near-free.  The module-level functions in
+:mod:`repro.reasoning` and :mod:`repro.preservation` are thin wrappers that
+construct (or accept) a session.
 
 Incremental mutation
 --------------------
@@ -39,7 +40,6 @@ query engines             keep       keep        keep              keep
 column indexes            keep       keep        self [1]_         self [1]_
 encoder                   extend     extend      extend [2]_       extend [2]_
 extension search space    extend     extend      extend-or-rebuild rebuild [3]_
-current-db enumerators    keep       keep        keep [2]_         keep [2]_
 memoised answers          delta      delta       delta             delta [4]_
 ========================  =========  ==========  ================  ============
 
@@ -49,7 +49,7 @@ memoised answers          delta      delta       delta             delta [4]_
    (new pair variables, block clauses, groundings — every existing clause
    stays valid), so the warm solver is extended via ``add_clause`` between
    solves.  A grown block's value columns are re-encoded under a new
-   generation, so the enumerators, which only project onto the encoder's
+   generation, so the refutation passes, which only read the encoder's
    current columns, stay valid and the encoder is never rebuilt; the
    property harness asserts the extended and cold-built encoders answer
    identically.
@@ -124,7 +124,6 @@ from repro.reasoning.chase import (
     extend_chase_with_order,
     extend_chase_with_tuples,
 )
-from repro.reasoning.current_db import CurrentDatabaseEnumerator
 from repro.reasoning.sp import sp_certain_answers
 from repro.session.footprint import MutationFootprint, component_of, query_relations
 from repro.session.snapshot import SNAPSHOT_FORMAT, SessionSnapshot
@@ -369,15 +368,6 @@ class ReasoningSession:
             "add_copy_import": "extend-or-rebuild",
             "set_backend": "rebuild",
         },
-        "enumerators": {
-            "add_order": "keep",
-            "add_denial": "keep",
-            "add_tuple": "keep",
-            "add_tuples": "keep",
-            "add_copy_function": "keep",
-            "add_copy_import": "keep",
-            "set_backend": "rebuild",
-        },
         "engines": {
             "add_order": "keep",
             "add_denial": "keep",
@@ -419,7 +409,6 @@ class ReasoningSession:
         self._encoder: Optional[CompletionEncoder] = None
         self._space: Optional[ExtensionSearchSpace] = None
         self._engines: Dict[AnyQuery, QueryEngine] = {}
-        self._enumerators: Dict[FrozenSet[str], CurrentDatabaseEnumerator] = {}
         self._database_cache = CurrentDatabaseCache()
         self._answer_memo: Dict[Tuple[AnyQuery, str], Optional[FrozenSet]] = {}
         self._verdict_memo: Dict[Any, Any] = {}
@@ -438,7 +427,6 @@ class ReasoningSession:
             "space_extended": 0,
             "space_rebuilt": 0,
             "encoder_extended": 0,
-            "enumerators_retained": 0,
             "consistency_rechecks": 0,
             "footprint_relations": 0,
             "footprint_blocks": 0,
@@ -568,11 +556,10 @@ class ReasoningSession:
 
     def _install_space(self, space: ExtensionSearchSpace) -> None:
         """Make *space* the live encoding.  It answers every base problem
-        too, so the base encoder and the enumerators on it are released —
-        kept, the encoder would be extended on every mutation for nothing."""
+        too, so the base encoder is released — kept, it would be extended on
+        every mutation for nothing."""
         self._space = space
         self._encoder = None
-        self._enumerators.clear()
 
     def engine(
         self, query: AnyQuery, supplied: Optional[QueryEngine] = None
@@ -605,19 +592,6 @@ class ReasoningSession:
             self._engines.clear()
             self._answer_memo.clear()
             self._memo_relations.clear()
-
-    def _enumerator(self, relations: Iterable[str]) -> CurrentDatabaseEnumerator:
-        key = frozenset(relations)
-        enumerator = self._enumerators.get(key)
-        if enumerator is None:
-            enumerator = CurrentDatabaseEnumerator(
-                self.specification,
-                relations=sorted(key),
-                encoder=self.encoder,
-                backend=self.backend,
-            )
-            self._enumerators[key] = enumerator
-        return enumerator
 
     # ------------------------------------------------------------------ #
     # CPS — consistency (Section 3)
@@ -773,20 +747,9 @@ class ReasoningSession:
                         if len(values) > 1:
                             return False
             return True
-        # SAT-backed per-cell decomposition on the shared warm solver: the
-        # consistency check and every per-cell maximality probe reuse it, so
-        # learnt clauses accumulate across the whole scan.
-        if not self.encoder.satisfiable():
-            return True  # Mod(S) empty: vacuously deterministic
-        for name in names:
-            instance = self.specification.instance(name)
-            for eid in instance.entities():
-                for attribute in instance.schema.attributes:
-                    maxima = self.realizable_maxima(name, eid, attribute)
-                    values = {instance.tuple_by_tid(tid)[attribute] for tid in maxima}
-                    if len(values) > 1:
-                        return False
-        return True
+        # two solves on the warm solver's value columns: one model, then
+        # "some current value differs from it"
+        return self.encoder.deterministic(names)
 
     # ------------------------------------------------------------------ #
     # CCQA — certain current query answering (Sections 3 and 6)
@@ -815,24 +778,6 @@ class ReasoningSession:
                 )
             else:
                 database = cache.current_database(completion)
-            answers = set(engine.answers(database))
-            intersection = answers if intersection is None else (intersection & answers)
-            if intersection is not None and not intersection:
-                return frozenset()
-        if intersection is None:
-            return None
-        return frozenset(intersection)
-
-    def _answers_by_candidates(self, engine: QueryEngine) -> Optional[FrozenSet]:
-        """Intersection of Q over realizable current databases; None when
-        ``Mod(S)`` is empty.  Runs on the space when one exists (value-level
-        projection, memoised database lists), else on a current-database
-        enumerator sharing the session encoder."""
-        if self._space is not None:
-            return self._space.certain_answers(engine, ())
-        enumerator = self._enumerator(engine.relations)
-        intersection: Optional[Set[Tuple[Any, ...]]] = None
-        for database in enumerator.databases():
             answers = set(engine.answers(database))
             intersection = answers if intersection is None else (intersection & answers)
             if intersection is not None and not intersection:
@@ -879,7 +824,8 @@ class ReasoningSession:
             elif method == "enumerate":
                 answers = self._answers_by_enumeration(self.engine(query, engine))
             else:
-                answers = self._answers_by_candidates(self.engine(query, engine))
+                # refutation on the live encoding (enumeration for non-SP)
+                answers = self.encoder.certain_answers(self.engine(query, engine))
             self._evict_query_state_if_full()
             self._answer_memo[key] = answers
             self._memo_relations.setdefault(query, query_relations(query))
@@ -995,7 +941,7 @@ class ReasoningSession:
                 engine,
                 answer,
                 gained,
-                space.current_databases(refuted_selection, relations=engine.relations),
+                space.databases_without(engine, answer, refuted_selection),
             )
             # cross-check the in-space answers against the pre-existing CCQA
             # path on the materialised extension: an encoding bug must not
@@ -1251,7 +1197,7 @@ class ReasoningSession:
         to inconsistent (``Mod(S) = ∅`` empties every component's completion
         set at once).  The first answer served after such a mutation pays one
         warm SAT probe; if the specification died, every retained memo entry
-        and enumerator is dropped and the normal path recomputes (raising
+        is dropped and the normal path recomputes (raising
         :class:`InconsistentSpecificationError` as a fresh session would)."""
         if not self._needs_consistency_recheck:
             return
@@ -1300,7 +1246,6 @@ class ReasoningSession:
                     stats["memo_retained"] += 1
             if self._answer_memo:
                 self._needs_consistency_recheck = True
-        stats["enumerators_retained"] += len(self._enumerators)
         self._verdict_memo.clear()
         self.mutations += 1
 
@@ -1362,8 +1307,8 @@ class ReasoningSession:
         """Record ``lower ≺_attribute upper`` in the live specification.
 
         The chase is extended by a warm fixpoint re-run from the new pair;
-        the live encoding gains one unit clause on its warm solver; engines,
-        column indexes and enumerators survive, and the answer memo follows
+        the live encoding gains one unit clause on its warm solver; engines
+        and column indexes survive, and the answer memo follows
         the footprint-scoped ``delta`` policy.  A pair already present is a
         no-op."""
         instance = self.specification.instance(instance_name)
@@ -1391,7 +1336,7 @@ class ReasoningSession:
         """Attach a denial constraint to the named instance.
 
         The chase survives untouched (it never reads denial constraints), as
-        do column indexes, engines and enumerators; the live encoding is
+        do column indexes and engines; the live encoding is
         extended in place with the constraint's grounded implications, and
         the answer memo follows the footprint-scoped ``delta`` policy."""
         self.specification.add_constraint(instance_name, constraint)
@@ -1414,9 +1359,8 @@ class ReasoningSession:
         fixpoint); the space attempts its tuple delta and falls back to a
         rebuild when the candidate closure changed shape; the base encoder is
         extended with the purely additive block/grounding delta and
-        re-encoded value columns, so its enumerators survive (the property
-        harness asserts extended and cold-built encoders answer
-        identically).  The answer memo follows the footprint-scoped
+        re-encoded value columns (the property harness asserts extended and
+        cold-built encoders answer identically).  The answer memo follows the footprint-scoped
         ``delta`` policy."""
         instance = self.specification.instance(instance_name)
         tup = self._coerce_tuple(instance, tid, values)
@@ -1525,8 +1469,7 @@ class ReasoningSession:
         The chase is extended by a warm fixpoint re-run over the new
         function's implications; the space is invalidated (the candidate
         closure changes shape); the base encoder gains the function's
-        ≺-compatibility implications in place, and its enumerators survive
-        (no block changed).  The mutation rewires the copy graph itself, so its
+        ≺-compatibility implications in place (no block changed).  The mutation rewires the copy graph itself, so its
         footprint is global and the answer memo is cleared wholesale."""
         self.specification.add_copy_function(copy_function)
         extended = (
@@ -1620,8 +1563,8 @@ class ReasoningSession:
     def set_backend(self, backend: str) -> None:
         """Switch the session to a different registered solver backend.
 
-        Warm solver state never migrates between engines: the encoder, the
-        space and the enumerators are dropped and lazily rebuilt on the new
+        Warm solver state never migrates between engines: the encoder and the
+        space are dropped and lazily rebuilt on the new
         backend.  The chase (solver-free), compiled query engines and the
         answer/verdict memos survive — memoised answers are semantic facts
         about the specification, identical across backends (the
@@ -1632,7 +1575,6 @@ class ReasoningSession:
         self.backend = resolved
         self._encoder = None
         self._space = None
-        self._enumerators.clear()
         self.mutations += 1
 
     # ------------------------------------------------------------------ #
@@ -1643,8 +1585,8 @@ class ReasoningSession:
         :class:`~repro.session.snapshot.SessionSnapshot`.
 
         Captures the live specification, the chase fixpoint, the encoder and
-        search space with their warm CDCL solvers, the decoded
-        current-database lists and memoised harvests, compiled query engines,
+        search space with their warm CDCL solvers, the memoised harvests,
+        compiled query engines,
         and the answer/verdict memos — everything another process needs to
         answer with zero re-solving.  With *detach* (the default) the
         snapshot shares nothing with this session, so later mutations here
@@ -1667,10 +1609,6 @@ class ReasoningSession:
             encoder=self._encoder,
             space=self._space,
             database_cache=self._database_cache,
-            enumerators=tuple(
-                (tuple(sorted(key)), enumerator)
-                for key, enumerator in self._enumerators.items()
-            ),
             engines=tuple(self._engines.values()),
             answers=answers,
             verdicts=dict(self._verdict_memo),
@@ -1718,9 +1656,6 @@ class ReasoningSession:
         if snapshot.space is not None:
             session.adopt_space(snapshot.space)
         session._database_cache = snapshot.database_cache
-        session._enumerators = {
-            frozenset(names): enumerator for names, enumerator in snapshot.enumerators
-        }
         session._engines = {engine.source: engine for engine in snapshot.engines}
         session._answer_memo = {
             (query, method): answer for query, method, answer in snapshot.answers
@@ -1740,7 +1675,6 @@ class ReasoningSession:
             "encoder_built": self._encoder is not None,
             "space_built": self._space is not None,
             "engines": len(self._engines),
-            "enumerators": len(self._enumerators),
             "answer_memo_entries": len(self._answer_memo),
         }
         if self._space is not None:
@@ -1752,9 +1686,7 @@ class ReasoningSession:
 
         ``memo_evicted`` / ``memo_retained`` count answer-memo entries across
         all mutations; ``chase/space/encoder_extended`` vs ``*_rebuilt``
-        count the extend-vs-rebuild decisions; ``enumerators_retained`` /
-        ``enumerators_dropped`` the footprint-scoped enumerator eviction;
-        ``consistency_rechecks`` the warm probes that guarded retained state;
+        count the extend-vs-rebuild decisions; ``consistency_rechecks`` the warm probes that guarded retained state;
         ``footprint_relations`` / ``footprint_blocks`` the cumulative
         footprint sizes.  Benchmarks and chaos tests assert on these to prove
         the fast path was actually taken."""

@@ -3,8 +3,8 @@
 A :class:`SessionSnapshot` captures everything a warm session has computed —
 the chase fixpoint, the completion encoder and extension search space with
 their incremental CDCL solvers (learnt clauses, VSIDS activities, saved
-phases), the decoded current-database lists, the memoised consistent-selection
-harvests, compiled query engines and answer caches — as one picklable value.
+phases), the memoised consistent-selection harvests, compiled query engines
+and answer caches — as one picklable value.
 A snapshot can be written to disk, shipped to another process, and restored
 into a session that answers with **zero re-solving**: every cache hit the
 donor session had earned, the restored session keeps.
@@ -13,13 +13,12 @@ What is *captured* vs *rebuilt*: the solvers' watch lists and the evaluation
 plans' id-keyed positivity memos are process-local accelerator structures;
 ``Solver.__setstate__`` / ``EvaluationPlan.__setstate__`` rebuild them from
 the captured clause databases and formulas on unpickling.  Everything else —
-clauses, learnt clauses, activities, phases, decoded databases, harvests,
-answers — crosses the pickle boundary verbatim.
+clauses, learnt clauses, activities, phases, harvests, answers — crosses the
+pickle boundary verbatim.
 
 Object identity *within* one snapshot is preserved by pickling the snapshot
 as a single value: the restored search space's ``specification`` is the
-restored session's ``specification``, the restored enumerators share the
-restored encoder and database cache, and so on.  That is why
+restored session's ``specification``, and so on.  That is why
 :func:`snapshot_bytes` / :func:`restore_bytes` exist — they pickle the whole
 snapshot exactly once, which both detaches it from the donor session and
 keeps the internal aliasing intact.
@@ -55,7 +54,6 @@ from repro.core.specification import Specification
 from repro.exceptions import SpecificationError
 from repro.query.engine import QueryEngine
 from repro.reasoning.chase import ChaseResult
-from repro.reasoning.current_db import CurrentDatabaseEnumerator
 from repro.solvers.order_encoding import CompletionEncoder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (session imports us)
@@ -78,10 +76,10 @@ __all__ = [
 
 
 #: The pickled layout of a snapshot and of everything it carries (encoder,
-#: search space, enumerators).  Bump it whenever that layout changes: a
-#: payload recorded under another number is refused, and the serving layer
-#: treats the refusal as a cache miss and rebuilds cold.
-SNAPSHOT_FORMAT = 4
+#: search space).  Bump it whenever that layout changes: a payload recorded
+#: under another number is refused, and the serving layer treats the refusal
+#: as a cache miss and rebuilds cold.
+SNAPSHOT_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class SessionSnapshot:
     encoder: Optional[CompletionEncoder]
     space: Optional["ExtensionSearchSpace"]
     database_cache: CurrentDatabaseCache
-    enumerators: Tuple[Tuple[Tuple[str, ...], CurrentDatabaseEnumerator], ...]
     engines: Tuple[QueryEngine, ...]
     answers: Tuple[Tuple[AnyQuery, str, Optional[FrozenSet[Tuple[Any, ...]]]], ...]
     verdicts: Dict[Tuple[str, ...], bool]

@@ -38,6 +38,13 @@ class CNF:
             self._index_to_name.append(name)
         return index
 
+    def anonymous_variable(self) -> int:
+        """A fresh variable left out of the name table (its name reads None):
+        per-pass scratch such as activation literals, which would otherwise
+        pile up in every pickled copy of the table."""
+        self._index_to_name.append(None)
+        return len(self._index_to_name)
+
     def literal(self, name: Hashable, positive: bool = True) -> Literal:
         """A literal for the named variable."""
         index = self.variable(name)

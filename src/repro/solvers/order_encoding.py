@@ -26,7 +26,9 @@ A model decodes back into a full consistent completion.  On top, the
 attribute, one maximality variable per tuple and one value variable per
 distinct value (see :meth:`CompletionEncoder.encode_value_columns`), so
 current databases are enumerated as models projected onto the value
-variables.
+variables, and certain answers to SP queries and DCIP are decided by
+refutation on them: a model, then gated solves for a current database that
+differs (:meth:`CompletionEncoder.certain_answers`).
 
 This is the one encoding of completions.  The extension search space of the
 preservation problems (:class:`~repro.preservation.sat_extensions.ExtensionSearchSpace`)
@@ -39,8 +41,8 @@ what the base encoder does.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, product
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.completion import CurrentDatabaseCache
 from repro.core.copy_function import CopyFunction
@@ -48,6 +50,8 @@ from repro.core.denial import DenialConstraint
 from repro.core.instance import NormalInstance, TemporalInstance
 from repro.core.specification import Specification
 from repro.exceptions import SolverError
+from repro.query.ast import SPQuery
+from repro.query.engine import QueryEngine
 from repro.solvers.backend import SolverBackend, create_solver, resolve_backend
 from repro.solvers.cnf import CNF
 from repro.solvers.sat import Model
@@ -91,7 +95,9 @@ class CompletionEncoder:
         #: activation literals of the gated passes still open (enumerations
         #: and gated probes); every other solve assumes their negation
         self._activation_literals: List[int] = []
-        self._activation_count = 0
+        #: the per-candidate literals of refutation passes, reused by every
+        #: pass (each pass gates their clauses behind its own activation)
+        self._absence_pool: List[int] = []
         #: instance -> per-entity value columns, for the instances whose
         #: current databases are enumerated
         self._value_slots: Dict[str, List[ValueSlot]] = {}
@@ -525,8 +531,7 @@ class CompletionEncoder:
         """A fresh activation literal, registered as open.  Clauses gated
         behind it (``¬act ∨ …``) constrain only the solves that assume it;
         every other solve assumes its negation until it is retired."""
-        self._activation_count += 1
-        literal = self.cnf.variable(("__act__", self._activation_count))
+        literal = self.cnf.anonymous_variable()
         self._activation_literals.append(literal)
         return literal
 
@@ -544,15 +549,34 @@ class CompletionEncoder:
             self._activation_literals.remove(literal)
             self.solver.add_clause([-literal])
 
+    def _open_pass(self, clauses: Iterable[List[int]]) -> int:
+        """A fresh activation literal gating *clauses*; retire it with
+        :meth:`_retire_activation` when done.  The clauses go straight to the
+        solver, like blocking clauses: kept out of ``self.cnf``, they leave
+        :meth:`_solve_model`'s memo (keyed on its length) valid."""
+        activation = self._new_activation()
+        solver = self.solver
+        for clause in clauses:
+            solver.add_clause([-activation] + clause)
+        return activation
+
+    def _refute(self, clauses: Iterable[List[int]], fixed: List[int]) -> Optional[Model]:
+        """One solve under the assumptions *fixed* and the gated *clauses*,
+        which are retired afterwards."""
+        activation = self._open_pass(clauses)
+        try:
+            return self._solve(self._pass_assumptions(activation) + fixed)
+        finally:
+            self._retire_activation(activation)
+
     def add_gated_clause(self, named_literals: Iterable[Tuple[PairVariable, bool]]) -> int:
         """Add a clause active only under a fresh activation literal, which is
         returned; retire it with :meth:`_retire_activation` when done.  Every
         variable must already be part of the encoding (a fresh unconstrained
         variable would make the clause vacuous)."""
-        literals = [self._pair_literal(name, positive) for name, positive in named_literals]
-        activation = self._new_activation()
-        self.cnf.add_clause([-activation] + literals)
-        return activation
+        return self._open_pass(
+            [[self._pair_literal(name, positive) for name, positive in named_literals]]
+        )
 
     # ------------------------------------------------------------------ #
     # Questions about the base specification
@@ -614,14 +638,8 @@ class CompletionEncoder:
         """Whether some consistent completion of the base specification misses
         at least one of *pairs* — COP's complement question, as one gated
         clause on the warm solver (retired afterwards)."""
-        activation = self.add_gated_clause((pair, False) for pair in pairs)
-        try:
-            assumptions = self._pass_assumptions(activation) + self._selection_literals(
-                (), exact=True
-            )
-            return self._solve(assumptions) is not None
-        finally:
-            self._retire_activation(activation)
+        clause = [self._pair_literal(pair, positive=False) for pair in pairs]
+        return self._refute([clause], self._selection_literals((), exact=True)) is not None
 
     def decode(self, model: Dict[int, bool]) -> Dict[str, TemporalInstance]:
         """Turn a SAT model into a completion (name -> completed instance)."""
@@ -721,6 +739,134 @@ class CompletionEncoder:
                 rows.append((("lst", eid), values))
             database[name] = self._instance_cache.intern_rows(schema, rows)
         return database
+
+    # ------------------------------------------------------------------ #
+    # Certain answers and determinism by refutation
+    # ------------------------------------------------------------------ #
+    def certain_answers(
+        self, engine: QueryEngine, selection: Sequence[int] = ()
+    ) -> Optional[FrozenSet[Tuple[Any, ...]]]:
+        """The certain current answers of the engine's query for the candidate
+        imports of *selection* (the base specification when empty), or None
+        when that has no completion.
+
+        An SP query is answered by refutation on the value columns.  The
+        answers on one model's current database are the candidates.  Each
+        further solve asks for a database lacking some remaining candidate
+        (gated clauses over the candidates' supports, see :meth:`_supports`)
+        and drops every candidate its database lacks; UNSAT ends the loop, so
+        a query costs at most one solve per candidate beyond the first.  Other
+        queries intersect their answers over :meth:`current_databases`."""
+        query = engine.source
+        if not isinstance(query, SPQuery):
+            intersection: Optional[Set[Tuple[Any, ...]]] = None
+            for database in self.current_databases(selection, relations=engine.relations):
+                answers = engine.answers(database)
+                intersection = set(answers) if intersection is None else intersection & answers
+                if not intersection:
+                    break
+            return None if intersection is None else frozenset(intersection)
+        names = [query.relation]
+        self.encode_value_columns(names)
+        fixed = self._selection_literals(selection, exact=True)
+        model = self._solve_model() if not selection else self._solve(self._deactivations() + fixed)
+        if model is None:
+            return None
+        candidates = list(engine.answers(self._decode_current(model, names)))
+        if not candidates:
+            return frozenset()
+        supports = self._supports(query, candidates)
+        pool = self._absence_pool
+        while len(pool) < len(candidates):
+            pool.append(self.cnf.anonymous_variable())
+        # pool[i] ⟹ candidate i is absent, and some candidate is absent
+        clauses = [
+            [-pool[i]] + [-var for var in support]
+            for i, candidate_supports in enumerate(supports)
+            for support in candidate_supports
+        ]
+        clauses.append(pool[: len(candidates)])
+        held = set(range(len(candidates)))
+        activation = self._open_pass(clauses)
+        try:
+            while held:
+                dropped = [-pool[i] for i in range(len(candidates)) if i not in held]
+                model = self._solve(self._pass_assumptions(activation) + fixed + dropped)
+                if model is None:
+                    break
+                held = {
+                    i for i in held
+                    if any(all(model.get(v, False) for v in support) for support in supports[i])
+                }
+        finally:
+            self._retire_activation(activation)
+        return frozenset(candidates[i] for i in held)
+
+    def databases_without(
+        self, engine: QueryEngine, answer: Tuple[Any, ...], selection: Sequence[int] = ()
+    ) -> Iterator[Dict[str, NormalInstance]]:
+        """Current databases of the engine's relations, for the candidate
+        imports of *selection*, on which the query lacks *answer*.  For an SP
+        query that is at most one, from one solve under the gated clauses
+        "*answer* is absent"; other queries scan :meth:`current_databases`."""
+        query = engine.source
+        if not isinstance(query, SPQuery):
+            for database in self.current_databases(selection, relations=engine.relations):
+                if answer not in engine.answers(database):
+                    yield database
+            return
+        names = [query.relation]
+        self.encode_value_columns(names)
+        absent = [[-var for var in support] for support in self._supports(query, [answer])[0]]
+        model = self._refute(absent, self._selection_literals(selection, exact=True))
+        if model is not None:
+            yield self._decode_current(model, names)
+
+    def _supports(
+        self, query: SPQuery, candidates: Sequence[Tuple[Any, ...]]
+    ) -> List[List[List[int]]]:
+        """Per candidate answer, its supports: the value variables of one
+        entity's realizable cells over ``query.relevant_attributes()`` that
+        satisfy σ and project to the candidate.  A current database yields
+        the candidate iff one of its supports holds.  The candidates are
+        answers on some current database, so their projected cells already
+        meet σ's constants and agree on repeated attributes."""
+        selected = [a for a in sorted(query.selection_attributes()) if a not in query.projection]
+        supports: List[List[List[int]]] = [[] for _ in candidates]
+        for _eid, per_attribute in self._value_slots[query.relation]:
+            columns = {attribute: dict(column) for attribute, column in per_attribute}
+            for candidate, candidate_supports in zip(candidates, supports):
+                cells: Dict[str, Any] = dict(zip(query.projection, candidate))
+                free = [
+                    [query.eq_const[a]] if a in query.eq_const else list(columns[a])
+                    for a in selected
+                ]
+                for values in product(*free):
+                    cells.update(zip(selected, values))
+                    if any(cells[left] != cells[right] for left, right in query.eq_attr):
+                        continue
+                    support = [columns[a].get(v) for a, v in cells.items()]
+                    if None not in support:
+                        candidate_supports.append(support)
+        return supports
+
+    def deterministic(self, names: Sequence[str]) -> bool:
+        """Whether the named instances have the same current instance in every
+        completion (vacuously so when there is none): a model M, then one
+        solve under the gated clause "some cell's current value is not M's"."""
+        self.encode_value_columns(names)
+        model = self._solve_model()
+        if model is None:
+            return True
+        differs = [
+            -var
+            for name in names
+            for _eid, per_attribute in self._value_slots[name]
+            for _attribute, column in per_attribute
+            for _value, var in column
+            if model.get(var, False)
+        ]
+        return self._refute([differs], self._selection_literals((), exact=True)) is None
 
     # ------------------------------------------------------------------ #
     # Pickling (warm-state snapshots)

@@ -1,7 +1,7 @@
 """Property sweep: mutate-then-ask equals rebuild-then-ask.
 
 For ≥200 seeded random specifications, a warm :class:`ReasoningSession` is
-exercised (so its encoder/space/enumerators exist), mutated in place through
+exercised (so its encoder and space exist), mutated in place through
 the session API, and asked again; an identical mutation is applied to an
 independently generated copy of the specification and answered through the
 module-level functions (which build a *fresh* session per call — the
@@ -49,7 +49,7 @@ PRESERVATION_SEEDS = 60
 #: runs per registered solver backend via the session-scoped fixture.
 STREAM_SEEDS = 200
 #: extra seeds of the base sweep whose specifications always carry denial
-#: constraints and whose mutations always add a tuple: CCQA enumerates on the
+#: constraints and whose mutations always add a tuple: CCQA refutes on the
 #: value columns of a base encoder that the tuple deltas extend in place (no
 #: preservation question is asked, so no search space is ever built)
 ENCODER_SEEDS = range(5000, 5030)

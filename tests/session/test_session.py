@@ -112,18 +112,21 @@ class TestWarmStateSharing:
         assert session.consistent(method="sat") == first
         assert session.deterministic("Emp") == is_deterministic(company_spec, "Emp")
 
-    def test_engine_and_enumerator_reuse(self, company_spec, paper_queries):
+    def test_engine_and_value_column_reuse(self, company_spec, paper_queries):
         session = ReasoningSession(company_spec)
         query = paper_queries["Q1"]
         engine = session.engine(query)
         assert session.engine(query) is engine
         session.certain_answers(query, method="candidates")
-        enumerators = dict(session._enumerators)
+        encoder = session.encoder
+        slots = dict(encoder._value_slots)
+        clauses = len(encoder.cnf.clauses)
         session.certain_answers(paper_queries["Q2"], method="candidates")
-        # same relations -> same enumerator object (shared encoder/maximality)
-        for key, enumerator in session._enumerators.items():
-            if key in enumerators:
-                assert enumerators[key] is enumerator
+        # same relation -> the same value columns; the refutation's gated
+        # clauses go to the solver, never into the CNF
+        assert session.encoder is encoder
+        assert encoder._value_slots == slots
+        assert len(encoder.cnf.clauses) == clauses
 
     def test_ecp_greedy_reuses_the_bcp_harvest(self):
         """After a BCP sweep the maximal harvest is memoised and ECP's greedy
@@ -279,9 +282,9 @@ class TestMutationDependencyMap:
     def test_add_tuple_extends_an_encoder_with_value_columns(self, company_spec, paper_queries):
         session = ReasoningSession(company_spec)
         session.certain_answers(paper_queries["Q1"], method="candidates")
-        enumerators = dict(session._enumerators)
-        assert enumerators  # CCQA enumerated on the encoder's value columns
         encoder = session.encoder
+        assert set(encoder._value_slots) == {"Emp"}  # CCQA read Emp's value columns
+        columns = encoder._value_slots["Emp"]
         schema = company_spec.instance("Emp").schema
         session.add_tuple(
             "Emp",
@@ -299,9 +302,10 @@ class TestMutationDependencyMap:
             ),
         )
         # the grown block's value columns were re-encoded in place: the
-        # encoder and its enumerators survive
+        # encoder and its value columns survive, Mary's under generation 1
         assert session._encoder is encoder
-        assert session._enumerators == enumerators
+        assert encoder._value_slots["Emp"] is columns
+        assert encoder._maximality_generation == {("Emp", company.MARY): 1}
         assert session.mutation_stats()["encoder_extended"] == 1
         rebuilt = company.company_specification()
         rebuilt.instance("Emp").add(

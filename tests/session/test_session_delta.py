@@ -5,8 +5,8 @@ fast path answers *identically* to a cold rebuild over long random streams;
 the tests here pin down the *mechanism* on hand-built specifications:
 
 * a mutation in copy-graph component A leaves component B's answer-memo
-  entries and current-database enumerators untouched (object identity, not
-  just value equality);
+  entries untouched (object identity, not just value equality), whichever
+  CCQA path computed them;
 * the answer memo and engine table key queries *structurally*, so two
   independently-built but value-equal queries share one entry (the
   ``id(query)`` regression class reprolint R2 now flags);
@@ -31,7 +31,17 @@ from repro.core.tuples import RelationTuple
 from repro.exceptions import InconsistentSpecificationError, SpecificationError
 from repro.preservation.ecp import currency_preserving_extension_exists, maximal_extension
 from repro.preservation.sat_extensions import ExtensionSearchSpace
-from repro.query.ast import SPQuery
+from repro.query.ast import (
+    And,
+    Compare,
+    Constant,
+    Exists,
+    Not,
+    Query,
+    RelationAtom,
+    SPQuery,
+    Var,
+)
 from repro.session.session import ReasoningSession
 from repro.workloads import company
 
@@ -63,6 +73,16 @@ def _query(specification, relation):
         specification.instance(relation).schema,
         ["A"],
         name=f"Q_{relation}",
+    )
+
+
+def _negated_query(specification, relation):
+    """``Q(a) = ∃e, b (S(e, a, b) ∧ ¬ a = 1)``: not SP, so CCQA enumerates."""
+    a, b, e = Var("a"), Var("b"), Var("e")
+    return Query(
+        (a,),
+        Exists((e, b), And(RelationAtom(relation, (e, a, b)), Not(Compare(a, "=", Constant(1))))),
+        name=f"Qneg_{relation}",
     )
 
 
@@ -102,16 +122,29 @@ class TestScopedEviction:
         assert stats["memo_retained"] >= 1
         assert stats["memo_evicted"] >= 1
 
-    def test_disjoint_component_enumerator_survives(self):
+    def test_disjoint_component_candidates_memo_survives(self):
         session = ReasoningSession(_two_component_spec())
         q_s = _query(session.specification, "S")
-        session.certain_answers(q_s, method="candidates")
-        enumerator = session._enumerators[frozenset({"S"})]
+        # an SP query is refuted; a negated one still enumerates
+        negated = _negated_query(session.specification, "S")
+        refuted = session.certain_answers(q_s, method="candidates")
+        enumerated = session.certain_answers(negated, method="candidates")
+        encoder = session.encoder
 
         session.add_tuple("R", "r3", {"EID": "e2", "A": 3, "B": 30})
 
-        assert session._enumerators[frozenset({"S"})] is enumerator
-        assert session.mutation_stats()["enumerators_retained"] >= 1
+        assert session._answer_memo[(q_s, "candidates")] is refuted
+        assert session._answer_memo[(negated, "candidates")] is enumerated
+        assert session.encoder is encoder
+        assert session.mutation_stats()["memo_retained"] == 2
+        # the retained entries agree with a cold session
+        cold = ReasoningSession(session.specification.copy())
+        assert session.certain_answers(q_s, method="candidates") == cold.certain_answers(
+            q_s, method="candidates"
+        )
+        assert session.certain_answers(negated, method="candidates") == cold.certain_answers(
+            negated, method="candidates"
+        )
 
     def test_same_component_memo_is_evicted(self):
         session = ReasoningSession(_two_component_spec())
@@ -296,7 +329,6 @@ class TestMutationStats:
         "space_extended",
         "space_rebuilt",
         "encoder_extended",
-        "enumerators_retained",
         "consistency_rechecks",
         "footprint_relations",
         "footprint_blocks",

@@ -182,10 +182,13 @@ class TestSnapshotRestore:
     def test_restore_carries_the_warm_substrate(self, paper_queries):
         donor = _warm_company_session(paper_queries)
         restored = restore_bytes(snapshot_bytes(donor))
-        # the earned caches crossed the boundary: nothing needs rebuilding
+        # the earned caches crossed the boundary: nothing needs rebuilding.
+        # DCIP read the encoder's value columns, so it built no chase
         assert restored._encoder is not None
-        assert restored._chase is not None
+        assert restored._chase is None
+        assert set(restored._encoder._value_slots) == {"Emp"}
         assert restored._answer_memo
+        assert restored._verdict_memo == donor._verdict_memo
         # and the restored space/encoder alias the restored specification —
         # the single-pickle-pass aliasing contract
         assert restored._encoder.specification is restored.specification
@@ -354,7 +357,7 @@ class TestSnapshotStore:
         # format 2 pickled encoders with two variables per currency pair
         snapshot = _warm_company_session(paper_queries).snapshot()
         stale = dataclasses.replace(snapshot, format_version=2)
-        with pytest.raises(SpecificationError, match="format 2 is not the supported format 4"):
+        with pytest.raises(SpecificationError, match="format 2 is not the supported format 5"):
             SessionSnapshot.from_bytes(stale.to_bytes())
 
     def test_a_format_3_snapshot_is_refused(self, paper_queries):
@@ -362,7 +365,14 @@ class TestSnapshotStore:
         # eagerly, without per-block refinement state
         snapshot = _warm_company_session(paper_queries).snapshot()
         stale = dataclasses.replace(snapshot, format_version=3)
-        with pytest.raises(SpecificationError, match="format 3 is not the supported format 4"):
+        with pytest.raises(SpecificationError, match="format 3 is not the supported format 5"):
+            SessionSnapshot.from_bytes(stale.to_bytes())
+
+    def test_a_format_4_snapshot_is_refused(self, paper_queries):
+        # format 4 pickled the session's current-database enumerators
+        snapshot = _warm_company_session(paper_queries).snapshot()
+        stale = dataclasses.replace(snapshot, format_version=4)
+        with pytest.raises(SpecificationError, match="format 4 is not the supported format 5"):
             SessionSnapshot.from_bytes(stale.to_bytes())
 
     def test_writes_leave_no_temp_droppings(self, tmp_path, paper_queries):
